@@ -5,8 +5,9 @@
 #      when the toolchain lacks clang-tidy). Runs first so invariant
 #      violations fail fast, before the full build.
 #   1. tier-1 build (warning-gated) + full ctest pass,
-#   2. the golden-trace suite again under an AddressSanitizer build,
-#   3. golden + scheduler-kernel tests under UBSan
+#   2. the golden-trace suite and the Matrix Market reader's tests
+#      (seeded mutation run included) under an AddressSanitizer build,
+#   3. golden + scheduler-kernel + Matrix Market tests under UBSan
 #      (MISAM_SANITIZE=undefined, -fno-sanitize-recover=all: any UB
 #      aborts the test, so a green run asserts a UB-clean tree),
 #   4. a ThreadSanitizer build running the parallel-layer and serving-
@@ -178,13 +179,18 @@ EOF
         cmake -B build-asan -S . -DMISAM_SANITIZE=address \
               -DCMAKE_BUILD_TYPE=RelWithDebInfo
         cmake --build build-asan -j --target test_metrics \
-              test_scheduler_kernels test_simd_dispatch
+              test_scheduler_kernels test_simd_dispatch test_generate_io
         (cd build-asan && ctest --output-on-failure -L golden)
         (cd build-asan && ./tests/test_scheduler_kernels \
             --gtest_brief=1 >/dev/null)
         (cd build-asan && ./tests/test_simd_dispatch \
             --gtest_brief=1 >/dev/null)
-        echo "test_scheduler_kernels + test_simd_dispatch under ASan: ok"
+        # The Matrix Market reader walks raw pointers over untrusted
+        # bytes; its mutation run must stay memory-clean.
+        (cd build-asan && ./tests/test_generate_io \
+            --gtest_brief=1 >/dev/null)
+        echo "test_scheduler_kernels + test_simd_dispatch +" \
+             "test_generate_io under ASan: ok"
     else
         echo "NOTICE: toolchain lacks AddressSanitizer support;" \
              "skipping the ASan golden pass."
@@ -199,7 +205,7 @@ EOF
         cmake -B build-ubsan -S . -DMISAM_SANITIZE=undefined \
               -DCMAKE_BUILD_TYPE=RelWithDebInfo
         cmake --build build-ubsan -j --target test_metrics \
-              test_scheduler_kernels test_simd_dispatch
+              test_scheduler_kernels test_simd_dispatch test_generate_io
         (cd build-ubsan && ctest --output-on-failure -L golden)
         (cd build-ubsan && ./tests/test_scheduler_kernels \
             --gtest_brief=1 >/dev/null)
@@ -208,8 +214,11 @@ EOF
         # so any UB in the vector paths aborts here.
         (cd build-ubsan && ./tests/test_simd_dispatch \
             --gtest_brief=1 >/dev/null)
-        echo "test_scheduler_kernels + test_simd_dispatch under UBSan:"\
-             "ok (no UB on the golden/kernel/vector paths)"
+        (cd build-ubsan && ./tests/test_generate_io \
+            --gtest_brief=1 >/dev/null)
+        echo "test_scheduler_kernels + test_simd_dispatch +" \
+             "test_generate_io under UBSan: ok (no UB on the" \
+             "golden/kernel/vector/Matrix Market paths)"
     else
         echo "NOTICE: toolchain lacks UndefinedBehaviorSanitizer" \
              "support; skipping the UBSan pass."

@@ -27,6 +27,8 @@ CooMatrix::addEntry(Index row, Index col, Value value)
 void
 CooMatrix::sortAndCombine()
 {
+    if (isCanonical())
+        return;
     std::sort(entries_.begin(), entries_.end());
     std::size_t out = 0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {

@@ -77,7 +77,9 @@ class CooMatrix
     /**
      * Sort entries row-major and sum duplicates. Entries whose combined
      * value is exactly zero are kept (explicit zeros are legal in Matrix
-     * Market files and some pruning flows produce them).
+     * Market files and some pruning flows produce them). A canonical
+     * matrix is left as it is after one linear scan, so converting a
+     * matrix that is already sorted costs no second sort.
      */
     void sortAndCombine();
 

@@ -154,8 +154,11 @@ ThreadPool::forEach(std::size_t n,
 ThreadPool &
 ThreadPool::global()
 {
+    // Leaked on purpose, like the memo caches: fatal() exits through
+    // std::exit, and a static pool's destructor would then join workers
+    // that are mid-job or, in a forked child, do not exist.
     // misam-lint: allow(guarded-state) -- magic-static init is thread-safe and ThreadPool synchronizes internally (job_mutex_/done_cv_)
-    static ThreadPool pool(
+    static ThreadPool &pool = *new ThreadPool(
         resolveThreads(0) > 1 ? resolveThreads(0) - 1 : 0);
     return pool;
 }

@@ -52,6 +52,44 @@ TEST(Coo, SortAndCombineSumsDuplicates)
     EXPECT_TRUE(coo.isCanonical());
 }
 
+TEST(Coo, SortAndCombineLeavesCanonicalUntouched)
+{
+    CooMatrix coo = fixtureCoo();
+    ASSERT_TRUE(coo.isCanonical());
+    const std::vector<CooEntry> before = coo.entries();
+    const CooEntry *storage = coo.entries().data();
+    coo.sortAndCombine();
+    ASSERT_EQ(coo.nnz(), before.size());
+    EXPECT_EQ(coo.entries().data(), storage);
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(coo.entries()[i].row, before[i].row);
+        EXPECT_EQ(coo.entries()[i].col, before[i].col);
+        EXPECT_EQ(coo.entries()[i].value, before[i].value);
+    }
+}
+
+TEST(Coo, SortAndCombineSortsAndSumsUnsortedDuplicates)
+{
+    CooMatrix coo(3, 3);
+    coo.addEntry(2, 1, 1.0);
+    coo.addEntry(0, 2, 4.0);
+    coo.addEntry(2, 1, 0.5);
+    coo.addEntry(0, 0, -1.0);
+    coo.addEntry(0, 2, 2.0);
+    coo.addEntry(1, 1, 3.0);
+    ASSERT_FALSE(coo.isCanonical());
+    coo.sortAndCombine();
+    EXPECT_TRUE(coo.isCanonical());
+    const std::vector<CooEntry> expected = {
+        {0, 0, -1.0}, {0, 2, 6.0}, {1, 1, 3.0}, {2, 1, 1.5}};
+    ASSERT_EQ(coo.nnz(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(coo.entries()[i].row, expected[i].row);
+        EXPECT_EQ(coo.entries()[i].col, expected[i].col);
+        EXPECT_EQ(coo.entries()[i].value, expected[i].value);
+    }
+}
+
 TEST(Coo, IsCanonicalDetectsDisorder)
 {
     CooMatrix coo(2, 2);

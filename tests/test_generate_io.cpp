@@ -1,13 +1,21 @@
 /**
  * @file
  * Tests for the synthetic matrix generators (structural properties,
- * density targets, determinism) and Matrix Market I/O round trips.
+ * density targets, determinism) and Matrix Market I/O: round trips, the
+ * accepted syntax, the writer's exact bytes, every refusal, and a seeded
+ * mutation run that must end in a parse or a refusal, never a signal.
  */
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "features/features.hh"
 #include "sparse/generate.hh"
@@ -315,6 +323,340 @@ TEST(MatrixMarketDeath, MissingFileFails)
 {
     EXPECT_EXIT(readMatrixMarketFile("/nonexistent/path.mtx"),
                 testing::ExitedWithCode(1), "cannot open");
+}
+
+TEST(MatrixMarketDeath, RejectsRowsBeyondIndexRange)
+{
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4294967297 4 2\n"
+        "1 1 1.0\n"
+        "2 2 2.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "MatrixMarket: .*32-bit index range");
+}
+
+TEST(MatrixMarketDeath, RejectsColsBeyondIndexRange)
+{
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4 4294967296 1\n"
+        "1 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "MatrixMarket: .*32-bit index range");
+}
+
+TEST(MatrixMarketDeath, RejectsNnzBeyondInput)
+{
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 999999999999\n"
+        "1 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "MatrixMarket: nnz 999999999999 exceeds");
+}
+
+TEST(MatrixMarketDeath, RejectsNonFiniteValues)
+{
+    for (const char *token : {"inf", "-inf", "nan", "Infinity", "1e999",
+                              "-1e999"}) {
+        std::stringstream ss(
+            std::string("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 1\n"
+                        "1 1 ") +
+            token + "\n");
+        EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                    "MatrixMarket: non-finite value at entry 0")
+            << token;
+    }
+}
+
+// --------------------------------------------------------------------
+// Matrix Market syntax: every value is compared bitwise with strtod of
+// the same token, an oracle independent of the reader.
+// --------------------------------------------------------------------
+
+struct ExpectedEntry
+{
+    Index row;
+    Index col;
+    const char *token;
+};
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Parse `text`; its canonical entries must match `expected` exactly. */
+void
+expectParses(const std::string &text, Index rows, Index cols,
+             const std::vector<ExpectedEntry> &expected)
+{
+    std::stringstream ss(text);
+    const CooMatrix coo = readMatrixMarket(ss);
+    EXPECT_EQ(coo.rows(), rows);
+    EXPECT_EQ(coo.cols(), cols);
+    ASSERT_EQ(coo.nnz(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const CooEntry &e = coo.entries()[i];
+        EXPECT_EQ(e.row, expected[i].row) << "entry " << i;
+        EXPECT_EQ(e.col, expected[i].col) << "entry " << i;
+        EXPECT_EQ(bits(e.value),
+                  bits(std::strtod(expected[i].token, nullptr)))
+            << "entry " << i << " token " << expected[i].token;
+    }
+}
+
+TEST(MatrixMarketSyntax, Tabs)
+{
+    expectParses("%%MatrixMarket\tmatrix\tcoordinate\treal\tgeneral\n"
+                 "2\t2\t2\n"
+                 "1\t1\t0.125\n"
+                 "2\t\t2\t-7.5\t\n",
+                 2, 2, {{0, 0, "0.125"}, {1, 1, "-7.5"}});
+}
+
+TEST(MatrixMarketSyntax, CrlfLineEnds)
+{
+    expectParses("%%MatrixMarket matrix coordinate real general\r\n"
+                 "% a comment\r\n"
+                 "2 3 2\r\n"
+                 "1 3 1.1\r\n"
+                 "2 1 2.2\r\n",
+                 2, 3, {{0, 2, "1.1"}, {1, 0, "2.2"}});
+}
+
+TEST(MatrixMarketSyntax, EntrySplitAcrossLines)
+{
+    expectParses("%%MatrixMarket matrix coordinate real general\n"
+                 "2 2 2\n"
+                 "1\n2\n3.5\n"
+                 "2 1\n-4.25\n",
+                 2, 2, {{0, 1, "3.5"}, {1, 0, "-4.25"}});
+}
+
+TEST(MatrixMarketSyntax, BlankLinesBetweenEntries)
+{
+    expectParses("%%MatrixMarket matrix coordinate real general\n"
+                 "\n"
+                 "3 3 2\n"
+                 "1 1 9.75\n"
+                 "\n   \n\t\n"
+                 "3 3 0.001\n"
+                 "\n",
+                 3, 3, {{0, 0, "9.75"}, {2, 2, "0.001"}});
+}
+
+TEST(MatrixMarketSyntax, LeadingPlus)
+{
+    expectParses("%%MatrixMarket matrix coordinate real general\n"
+                 "+2 +2 +2\n"
+                 "+1 +2 +3.25\n"
+                 "+2 +1 +.5\n",
+                 2, 2, {{0, 1, "+3.25"}, {1, 0, "+.5"}});
+}
+
+TEST(MatrixMarketSyntax, ExponentForms)
+{
+    expectParses(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "1 7 7\n"
+        "1 1 1E-3\n"
+        "1 2 2.5e+05\n"
+        "1 3 -6.02e23\n"
+        "1 4 1.e2\n"
+        "1 5 1e-310\n"  // subnormal
+        "1 6 1e-400\n"  // underflows to zero, as strtod gives
+        "1 7 0.1000000000000000055511151231257827\n",
+        1, 7,
+        {{0, 0, "1E-3"},
+         {0, 1, "2.5e+05"},
+         {0, 2, "-6.02e23"},
+         {0, 3, "1.e2"},
+         {0, 4, "1e-310"},
+         {0, 5, "1e-400"},
+         {0, 6, "0.1000000000000000055511151231257827"}});
+}
+
+TEST(MatrixMarketSyntax, IntegerField)
+{
+    expectParses("%%MatrixMarket matrix coordinate integer general\n"
+                 "2 2 3\n"
+                 "1 1 7\n"
+                 "1 2 -3\n"
+                 "2 2 +12\n",
+                 2, 2, {{0, 0, "7"}, {0, 1, "-3"}, {1, 1, "12"}});
+}
+
+TEST(MatrixMarketSyntax, Pattern)
+{
+    expectParses("%%MatrixMarket matrix coordinate pattern general\n"
+                 "3 3 2\n"
+                 "3 1\n"
+                 "1 2\n",
+                 3, 3, {{0, 1, "1"}, {2, 0, "1"}});
+}
+
+TEST(MatrixMarketSyntax, SymmetricMirrorsOffDiagonal)
+{
+    expectParses("%%MatrixMarket matrix coordinate real symmetric\n"
+                 "3 3 2\n"
+                 "2 1 4.5\n"
+                 "3 3 -5\n",
+                 3, 3, {{0, 1, "4.5"}, {1, 0, "4.5"}, {2, 2, "-5"}});
+}
+
+TEST(MatrixMarketSyntax, UpperCaseBannerTokens)
+{
+    expectParses("%%MatrixMarket MATRIX COORDINATE REAL GENERAL\n"
+                 "1 1 1\n"
+                 "1 1 2.75\n",
+                 1, 1, {{0, 0, "2.75"}});
+    expectParses("%%MatrixMarket Matrix Coordinate Pattern Symmetric\n"
+                 "2 2 1\n"
+                 "2 1\n",
+                 2, 2, {{0, 1, "1"}, {1, 0, "1"}});
+}
+
+TEST(MatrixMarketSyntax, MissingFinalNewline)
+{
+    expectParses("%%MatrixMarket matrix coordinate real general\n"
+                 "1 2 2\n"
+                 "1 2 8\n"
+                 "1 1 -0.0",
+                 1, 2, {{0, 0, "-0.0"}, {0, 1, "8"}});
+}
+
+// --------------------------------------------------------------------
+// Matrix Market writer
+// --------------------------------------------------------------------
+
+TEST(MatrixMarket, WriterBytesArePinned)
+{
+    // Values whose %.6g form is easy to get wrong; the expected text is
+    // what `ostream << double` prints for them.
+    CooMatrix coo(3, 4);
+    coo.addEntry(0, 0, 1e-7);
+    coo.addEntry(0, 3, 123456789.0);
+    coo.addEntry(1, 1, 1.0 / 3.0);
+    coo.addEntry(1, 2, -0.0);
+    coo.addEntry(2, 0, 1e5);
+    coo.addEntry(2, 2, 1e6);
+    coo.addEntry(2, 3, -2.5);
+    std::ostringstream out;
+    writeMatrixMarket(out, cooToCsr(coo));
+    EXPECT_EQ(out.str(), "%%MatrixMarket matrix coordinate real general\n"
+                         "3 4 7\n"
+                         "1 1 1e-07\n"
+                         "1 4 1.23457e+08\n"
+                         "2 2 0.333333\n"
+                         "2 3 -0\n"
+                         "3 1 100000\n"
+                         "3 3 1e+06\n"
+                         "3 4 -2.5\n");
+}
+
+// --------------------------------------------------------------------
+// Seeded mutation run over the reader
+// --------------------------------------------------------------------
+
+const char kMutationBase[] =
+    "%%MatrixMarket matrix coordinate real general\n"
+    "% seeded mutation base\n"
+    "4 5 6\n"
+    "1 1 1.5\n"
+    "1 5 -2.25e-3\n"
+    "2 2 3\n"
+    "3 4 1e5\n"
+    "4 1 -0.5\n"
+    "4 5 7\n";
+
+bool
+isSpaceByte(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Replace the first occurrence of `from` in `base` with `to`. */
+std::string
+substituted(const std::string &base, const std::string &from,
+            const std::string &to)
+{
+    std::string out = base;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+}
+
+/** About 64 deterministic mutants of kMutationBase. */
+std::vector<std::string>
+mutationCorpus()
+{
+    const std::string base = kMutationBase;
+    std::vector<std::string> mutants;
+    // Truncation at the end of every field.
+    for (std::size_t i = 1; i <= base.size(); ++i)
+        if (!isSpaceByte(base[i - 1]) &&
+            (i == base.size() || isSpaceByte(base[i])))
+            mutants.push_back(base.substr(0, i));
+    // Seeded single-byte replacements, any byte value.
+    Rng rng(0x6d747866);
+    for (int i = 0; i < 20; ++i) {
+        std::string m = base;
+        m[rng.uniformInt(m.size())] =
+            static_cast<char>(rng.uniformInt(std::uint64_t{256}));
+        mutants.push_back(m);
+    }
+    // Overflowing sizes, non-finite and out-of-range values, bad indices.
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"4 5 6", "4294967297 5 6"},
+             {"4 5 6", "4 4294967296 6"},
+             {"4 5 6", "4 5 999999999999"},
+             {"4 5 6", "4 5 18446744073709551615"},
+             {"4 5 6", "4 5 99999999999999999999"},
+             {"4 5 6", "-4 5 6"},
+             {"1.5", "inf"},
+             {"1.5", "nan"},
+             {"1.5", "1e999"},
+             {"1.5", "-1e999"},
+             {"1.5", "1e-999"},
+             {"1.5", "0x1p3"},
+             {"2 2 3", "0 2 3"},
+             {"2 2 3", "2 6 3"},
+             {"2 2 3", "-2 2 3"},
+             {"4 5 7\n", "4 5 7"}, // missing final newline
+         })
+        mutants.push_back(substituted(base, from, to));
+    return mutants;
+}
+
+/** Death-test predicate: a clean parse (0) or a refusal (1), no signal. */
+bool
+parsedOrRefused(int status)
+{
+    return WIFEXITED(status) &&
+           (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
+}
+
+TEST(MatrixMarketFuzz, SeededMutantsParseOrRefuse)
+{
+    const std::vector<std::string> mutants = mutationCorpus();
+    ASSERT_GE(mutants.size(), 60u);
+    for (std::size_t i = 0; i < mutants.size(); ++i) {
+        EXPECT_EXIT(
+            {
+                std::stringstream ss(mutants[i]);
+                const CooMatrix coo = readMatrixMarket(ss);
+                cooToCsr(coo);
+                std::fprintf(stderr, "parsed\n");
+                std::exit(0);
+            },
+            parsedOrRefused, "parsed|MatrixMarket: ")
+            << "mutant " << i << ":\n"
+            << mutants[i];
+    }
 }
 
 } // namespace
