@@ -5,11 +5,12 @@
 #      when the toolchain lacks clang-tidy). Runs first so invariant
 #      violations fail fast, before the full build.
 #   1. tier-1 build (warning-gated) + full ctest pass,
-#   2. the golden-trace suite and the Matrix Market reader's tests
-#      (seeded mutation run included) under an AddressSanitizer build,
-#   3. golden + scheduler-kernel + Matrix Market tests under UBSan
-#      (MISAM_SANITIZE=undefined, -fno-sanitize-recover=all: any UB
-#      aborts the test, so a green run asserts a UB-clean tree),
+#   2. the golden-trace suite, the Matrix Market reader's tests and
+#      the job-file parser's tests (seeded mutation runs included)
+#      under an AddressSanitizer build,
+#   3. golden + scheduler-kernel + Matrix Market + job-file tests under
+#      UBSan (MISAM_SANITIZE=undefined, -fno-sanitize-recover=all: any
+#      UB aborts the test, so a green run asserts a UB-clean tree),
 #   4. a ThreadSanitizer build running the parallel-layer and serving-
 #      layer tests, so data races in the thread pool / sample fan-out /
 #      operand cache / server dispatcher are caught at check time.
@@ -171,6 +172,13 @@ print("bench_fleet smoke: %d jobs, affinity %.1f vs least-loaded %.1f "
 EOF
     rm -f "$fleet_json"
 
+    # End-to-end benchmark smoke: every workload at a tiny size, traced
+    # and untraced, through its correctness gate. Its build lands in
+    # build/ with the rest.
+    echo "== perfbench smoke =="
+    CARGO_TARGET_DIR="$PWD/build/perfbench_smoke" \
+        python3 perfbench/test_smoke.py
+
     # Golden-trace suite under ASan: the trace emitters and the JSONL
     # sink touch raw buffers, so run the byte-stability suite with
     # memory checking on.
@@ -179,7 +187,8 @@ EOF
         cmake -B build-asan -S . -DMISAM_SANITIZE=address \
               -DCMAKE_BUILD_TYPE=RelWithDebInfo
         cmake --build build-asan -j --target test_metrics \
-              test_scheduler_kernels test_simd_dispatch test_generate_io
+              test_scheduler_kernels test_simd_dispatch test_generate_io \
+              test_serve
         (cd build-asan && ctest --output-on-failure -L golden)
         (cd build-asan && ./tests/test_scheduler_kernels \
             --gtest_brief=1 >/dev/null)
@@ -189,8 +198,11 @@ EOF
         # bytes; its mutation run must stay memory-clean.
         (cd build-asan && ./tests/test_generate_io \
             --gtest_brief=1 >/dev/null)
+        # So does the job-file parser, over untrusted JSONL lines.
+        (cd build-asan && ./tests/test_serve --gtest_filter='JobFile*' \
+            --gtest_brief=1 >/dev/null)
         echo "test_scheduler_kernels + test_simd_dispatch +" \
-             "test_generate_io under ASan: ok"
+             "test_generate_io + job-file tests under ASan: ok"
     else
         echo "NOTICE: toolchain lacks AddressSanitizer support;" \
              "skipping the ASan golden pass."
@@ -205,7 +217,8 @@ EOF
         cmake -B build-ubsan -S . -DMISAM_SANITIZE=undefined \
               -DCMAKE_BUILD_TYPE=RelWithDebInfo
         cmake --build build-ubsan -j --target test_metrics \
-              test_scheduler_kernels test_simd_dispatch test_generate_io
+              test_scheduler_kernels test_simd_dispatch test_generate_io \
+              test_serve
         (cd build-ubsan && ctest --output-on-failure -L golden)
         (cd build-ubsan && ./tests/test_scheduler_kernels \
             --gtest_brief=1 >/dev/null)
@@ -216,9 +229,11 @@ EOF
             --gtest_brief=1 >/dev/null)
         (cd build-ubsan && ./tests/test_generate_io \
             --gtest_brief=1 >/dev/null)
+        (cd build-ubsan && ./tests/test_serve --gtest_filter='JobFile*' \
+            --gtest_brief=1 >/dev/null)
         echo "test_scheduler_kernels + test_simd_dispatch +" \
-             "test_generate_io under UBSan: ok (no UB on the" \
-             "golden/kernel/vector/Matrix Market paths)"
+             "test_generate_io + job-file tests under UBSan: ok (no UB" \
+             "on the golden/kernel/vector/Matrix Market/job-file paths)"
     else
         echo "NOTICE: toolchain lacks UndefinedBehaviorSanitizer" \
              "support; skipping the UBSan pass."

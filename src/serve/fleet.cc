@@ -247,9 +247,11 @@ FleetRouter::FleetRouter(MisamFramework &framework, FleetConfig config)
 FleetRouter::~FleetRouter()
 {
     stop(true);
-    dispatcher_.join();
+    if (dispatcher_.joinable())
+        dispatcher_.join();
     for (const std::unique_ptr<Board> &board : boards_)
-        board->worker.join();
+        if (board->worker.joinable())
+            board->worker.join();
 }
 
 std::size_t
@@ -290,6 +292,22 @@ FleetRouter::stop(bool drain_queue)
     // The fleet-wide shutdown contract: every admitted job settles as
     // completed or rejected before stop() returns.
     done_cv_.wait(lock, [this] { return allSettledLocked(); });
+
+    // Settled and stopping: the dispatcher and board threads are done
+    // or returning. Join them here, once and never from one of them,
+    // so a fatal() after stop() (submit on a stopped fleet) exits with
+    // no live threads.
+    const std::thread::id self = std::this_thread::get_id();
+    if (workers_joined_ || self == dispatcher_.get_id())
+        return;
+    for (const std::unique_ptr<Board> &board : boards_)
+        if (self == board->worker.get_id())
+            return;
+    workers_joined_ = true;
+    lock.unlock();
+    dispatcher_.join();
+    for (const std::unique_ptr<Board> &board : boards_)
+        board->worker.join();
 }
 
 void

@@ -308,6 +308,7 @@ class FleetRouter
     bool stopping_ = false;
     bool abandon_ = false;
     bool boards_stopping_ = false;
+    bool workers_joined_ = false; ///< stop() has claimed the joins.
 
     std::vector<JobSlot> slots_; ///< Indexed by admission index.
     std::vector<RejectedJob> rejected_;

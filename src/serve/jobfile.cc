@@ -1,16 +1,62 @@
 #include "serve/jobfile.hh"
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <mutex>
+#include <optional>
+#include <unordered_map>
 
 #include "sparse/convert.hh"
+#include "sparse/fingerprint.hh"
 #include "sparse/generate.hh"
 #include "sparse/io.hh"
 #include "util/logging.hh"
 
 namespace misam {
 
+/**
+ * The operand of a path named more than once in one job file. The first
+ * load reads and fingerprints it, later loads copy it, and the last
+ * counted load takes it, leaving the slot empty.
+ */
+struct SharedOperand
+{
+    std::mutex mutex;
+    std::size_t remaining = 0; ///< Counted loads still to come.
+    std::optional<CsrMatrix> matrix;
+};
+
 namespace {
+
+/** True when a spec's `b` names a Matrix Market file. */
+bool
+namesFile(const std::string &b_path)
+{
+    return !b_path.empty() && b_path != "self";
+}
+
+/** Read a path's operand, through its shared slot when it has one. */
+CsrMatrix
+loadOperand(const std::string &path, SharedOperand *slot)
+{
+    if (!slot)
+        return cooToCsr(readMatrixMarketFile(path));
+    const std::lock_guard<std::mutex> lock(slot->mutex);
+    if (slot->remaining == 0) // Loaded more often than counted.
+        return cooToCsr(readMatrixMarketFile(path));
+    if (!slot->matrix) {
+        slot->matrix = cooToCsr(readMatrixMarketFile(path));
+        (void)fingerprintMatrix(*slot->matrix); // Copies carry the memo.
+    }
+    if (--slot->remaining > 0)
+        return *slot->matrix;
+    CsrMatrix last = std::move(*slot->matrix);
+    slot->matrix.reset();
+    return last;
+}
 
 /**
  * Minimal parser for one flat JSON object: string keys mapped to
@@ -87,6 +133,7 @@ class FlatJsonParser
         }
     }
 
+    /** A finite number whose whole token strtod consumes. */
     double
     parseNumber()
     {
@@ -98,8 +145,14 @@ class FlatJsonParser
             ++pos_;
         if (pos_ == start)
             fail("expected a number");
-        return std::strtod(s_.substr(start, pos_ - start).c_str(),
-                           nullptr);
+        const std::string token = s_.substr(start, pos_ - start);
+        char *end = nullptr;
+        const double value = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+            pos_ = start;
+            fail("bad number '", token, "'");
+        }
+        return value;
     }
 
     /** Whatever value comes next, discarded (for unknown keys). */
@@ -192,8 +245,12 @@ parseJobFile(const std::string &path)
             } else if (key == "b") {
                 spec.b_path = parser.parseString();
             } else if (key == "dense_cols") {
-                spec.dense_cols =
-                    static_cast<Index>(parser.parseNumber());
+                constexpr Index kMax = std::numeric_limits<Index>::max();
+                const double cols = parser.parseNumber();
+                if (cols < 1.0 || cols > kMax || cols != std::floor(cols))
+                    parser.fail("dense_cols must be an integer in [1, ",
+                                kMax, "]");
+                spec.dense_cols = static_cast<Index>(cols);
             } else if (key == "repetitions") {
                 spec.repetitions = parser.parseNumber();
             } else {
@@ -203,12 +260,35 @@ parseJobFile(const std::string &path)
         });
         if (spec.a_path.empty())
             fatal(where, ": job is missing required key 'a'");
-        if (!spec.b_path.empty() && spec.b_path != "self" &&
-            spec.dense_cols > 0)
+        if (namesFile(spec.b_path) && spec.dense_cols > 0)
             fatal(where, ": 'b' and 'dense_cols' are mutually exclusive");
         if (spec.repetitions < 1.0)
             fatal(where, ": repetitions must be >= 1");
         specs.push_back(std::move(spec));
+    }
+
+    // Count every path's operand references; a path referenced twice
+    // or more gets one slot, shared by the specs that name it.
+    std::unordered_map<std::string, std::shared_ptr<SharedOperand>> slots;
+    const auto count = [&](const std::string &p) {
+        std::shared_ptr<SharedOperand> &slot = slots[p];
+        if (!slot)
+            slot = std::make_shared<SharedOperand>();
+        ++slot->remaining;
+    };
+    const auto shared = [&](const std::string &p) {
+        const std::shared_ptr<SharedOperand> &slot = slots.at(p);
+        return slot->remaining > 1 ? slot : nullptr;
+    };
+    for (const ServeJobSpec &spec : specs) {
+        count(spec.a_path);
+        if (namesFile(spec.b_path))
+            count(spec.b_path);
+    }
+    for (ServeJobSpec &spec : specs) {
+        spec.a_shared = shared(spec.a_path);
+        if (namesFile(spec.b_path))
+            spec.b_shared = shared(spec.b_path);
     }
     return specs;
 }
@@ -219,9 +299,9 @@ loadServeJob(const ServeJobSpec &spec)
     BatchJob job;
     job.name = spec.name;
     job.repetitions = spec.repetitions;
-    job.a = cooToCsr(readMatrixMarketFile(spec.a_path));
-    if (!spec.b_path.empty() && spec.b_path != "self") {
-        job.b = cooToCsr(readMatrixMarketFile(spec.b_path));
+    job.a = loadOperand(spec.a_path, spec.a_shared.get());
+    if (namesFile(spec.b_path)) {
+        job.b = loadOperand(spec.b_path, spec.b_shared.get());
     } else if (spec.dense_cols > 0) {
         // Same convention as the CLI's --dense-cols flag.
         Rng rng(1);

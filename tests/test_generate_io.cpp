@@ -7,7 +7,6 @@
  */
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
 #include <bit>
 #include <cmath>
@@ -21,6 +20,8 @@
 #include "sparse/generate.hh"
 #include "sparse/io.hh"
 #include "sparse/convert.hh"
+
+#include "mutation_test_util.hh"
 
 namespace misam {
 namespace {
@@ -579,15 +580,8 @@ isSpaceByte(char c)
     return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-/** Replace the first occurrence of `from` in `base` with `to`. */
-std::string
-substituted(const std::string &base, const std::string &from,
-            const std::string &to)
-{
-    std::string out = base;
-    out.replace(out.find(from), from.size(), to);
-    return out;
-}
+using mutation_test::parsedOrRefused;
+using mutation_test::substituted;
 
 /** About 64 deterministic mutants of kMutationBase. */
 std::vector<std::string>
@@ -630,14 +624,6 @@ mutationCorpus()
          })
         mutants.push_back(substituted(base, from, to));
     return mutants;
-}
-
-/** Death-test predicate: a clean parse (0) or a refusal (1), no signal. */
-bool
-parsedOrRefused(int status)
-{
-    return WIFEXITED(status) &&
-           (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
 }
 
 TEST(MatrixMarketFuzz, SeededMutantsParseOrRefuse)

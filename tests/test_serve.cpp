@@ -10,9 +10,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/misam.hh"
@@ -22,10 +25,12 @@
 #include "serve/summary_cache.hh"
 #include "sparse/convert.hh"
 #include "sparse/generate.hh"
+#include "sparse/io.hh"
 #include "util/metrics.hh"
 #include "workloads/training_data.hh"
 
 #include "serve_test_util.hh"
+#include "mutation_test_util.hh"
 
 namespace misam {
 namespace {
@@ -180,7 +185,9 @@ TEST(SummaryCacheTest, CscMemoization)
 
 TEST(SummaryCacheTest, EvictsOldestBeyondCapacity)
 {
-    SummaryCache cache({.max_entries = 4});
+    SummaryCacheConfig config;
+    config.max_entries = 4;
+    SummaryCache cache(config);
     for (std::uint64_t s = 0; s < 10; ++s)
         (void)cache.summary(testMatrix(s));
     EXPECT_EQ(cache.summaryMisses(), 10u);
@@ -480,6 +487,356 @@ TEST(JobFileTest, MissingAIsFatal)
         out << "{\"name\":\"x\"}\n";
     }
     EXPECT_DEATH((void)parseJobFile(path), "missing required key 'a'");
+}
+
+/** Write `text` to a fresh file under the test temp dir. */
+std::string
+writeTempFile(const std::string &name, const std::string &text)
+{
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    return path;
+}
+
+/** Write one seeded matrix as Matrix Market; return its path. */
+std::string
+writeTempMatrix(const std::string &name, const CsrMatrix &m)
+{
+    const std::string path = testing::TempDir() + "/" + name;
+    writeMatrixMarketFile(path, m);
+    return path;
+}
+
+CsrMatrix
+readBack(const std::string &path)
+{
+    return cooToCsr(readMatrixMarketFile(path));
+}
+
+/** `{"a":...,"b":...}` job line (b omitted when empty). */
+std::string
+jobLine(const std::string &a, const std::string &b = "")
+{
+    std::string line = "{\"a\":\"" + a + "\"";
+    if (!b.empty())
+        line += ",\"b\":\"" + b + "\"";
+    return line + "}\n";
+}
+
+TEST(JobFileTest, DenseColsNegativeIsFatal)
+{
+    const std::string path = writeTempFile(
+        "dc_neg.jsonl", "{\"a\":\"m.mtx\",\"dense_cols\":-5}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "dc_neg.jsonl:1: dense_cols must be an integer");
+}
+
+TEST(JobFileTest, DenseColsBeyondIndexIsFatal)
+{
+    const std::string path = writeTempFile(
+        "dc_big.jsonl", "{\"a\":\"m.mtx\",\"dense_cols\":1e20}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "dc_big.jsonl:1: dense_cols must be an integer");
+}
+
+TEST(JobFileTest, DenseColsNonFiniteIsFatal)
+{
+    const std::string path = writeTempFile(
+        "dc_inf.jsonl", "{\"a\":\"m.mtx\",\"dense_cols\":1e999}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "dc_inf.jsonl:1: bad number '1e999'");
+}
+
+TEST(JobFileTest, DenseColsFractionIsFatal)
+{
+    const std::string path = writeTempFile(
+        "dc_frac.jsonl", "{\"a\":\"m.mtx\",\"dense_cols\":2.5}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "dc_frac.jsonl:1: dense_cols must be an integer");
+}
+
+TEST(JobFileTest, DenseColsZeroIsFatal)
+{
+    const std::string path = writeTempFile(
+        "dc_zero.jsonl", "{\"a\":\"m.mtx\",\"dense_cols\":0}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "dc_zero.jsonl:1: dense_cols must be an integer");
+}
+
+TEST(JobFileTest, RepetitionsNonFiniteIsFatal)
+{
+    const std::string path = writeTempFile(
+        "rep_inf.jsonl", "{\"a\":\"m.mtx\",\"repetitions\":1e999}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "rep_inf.jsonl:1: bad number '1e999'");
+}
+
+TEST(JobFileTest, NumberWithUnparsedTailIsFatal)
+{
+    const std::string path = writeTempFile(
+        "num_tail.jsonl", "{\"a\":\"m.mtx\",\"repetitions\":1-2}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "num_tail.jsonl:1: bad number '1-2'");
+}
+
+TEST(JobFileTest, NumberWithoutDigitsIsFatal)
+{
+    const std::string path = writeTempFile(
+        "num_none.jsonl", "{\"a\":\"m.mtx\",\"repetitions\":--}\n");
+    EXPECT_DEATH((void)parseJobFile(path),
+                 "num_none.jsonl:1: bad number '--'");
+}
+
+TEST(JobFileTest, LargestDenseColsParses)
+{
+    const std::string path = writeTempFile(
+        "dc_max.jsonl", "{\"a\":\"m.mtx\",\"dense_cols\":4294967295}\n");
+    const std::vector<ServeJobSpec> specs = parseJobFile(path);
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].dense_cols, 4294967295u);
+}
+
+TEST(JobFileTest, SharedBIsReadOnce)
+{
+    Rng rng(41);
+    const std::string b_path =
+        writeTempMatrix("once_b.mtx", generateUniform(48, 40, 0.1, rng));
+    const CsrMatrix expected_b = readBack(b_path);
+    std::string text;
+    for (int i = 0; i < 4; ++i)
+        text += jobLine(writeTempMatrix("once_a" + std::to_string(i) +
+                                            ".mtx",
+                                        generateUniform(32, 48, 0.1, rng)),
+                        b_path);
+    const std::vector<ServeJobSpec> specs =
+        parseJobFile(writeTempFile("once.jsonl", text));
+    ASSERT_EQ(specs.size(), 4u);
+
+    std::vector<BatchJob> jobs;
+    jobs.push_back(loadServeJob(specs[0]));
+    // The other three jobs load with the file gone: B was read once.
+    ASSERT_EQ(std::remove(b_path.c_str()), 0);
+    for (std::size_t i = 1; i < specs.size(); ++i)
+        jobs.push_back(loadServeJob(specs[i]));
+
+    const Fingerprint128 fp = fingerprintMatrix(expected_b);
+    for (const BatchJob &job : jobs) {
+        EXPECT_EQ(job.b, expected_b);
+        std::uint64_t hi = 0, lo = 0;
+        ASSERT_TRUE(job.b.cachedFingerprint(&hi, &lo));
+        EXPECT_EQ((Fingerprint128{hi, lo}), fp);
+    }
+}
+
+TEST(JobFileTest, PathNamedOnceHasNoSlot)
+{
+    const std::string text = jobLine("solo.mtx", "w.mtx") +
+                             jobLine("twice.mtx", "self") +
+                             jobLine("twice.mtx") +
+                             "{\"a\":\"d.mtx\",\"dense_cols\":8}\n" +
+                             jobLine("x.mtx", "w.mtx");
+    const std::vector<ServeJobSpec> specs =
+        parseJobFile(writeTempFile("slots.jsonl", text));
+    ASSERT_EQ(specs.size(), 5u);
+    EXPECT_EQ(specs[0].a_shared, nullptr); // solo.mtx
+    EXPECT_NE(specs[0].b_shared, nullptr); // w.mtx, named twice
+    EXPECT_EQ(specs[0].b_shared, specs[4].b_shared);
+    EXPECT_NE(specs[1].a_shared, nullptr); // twice.mtx ("self" not counted)
+    EXPECT_EQ(specs[1].a_shared, specs[2].a_shared);
+    EXPECT_EQ(specs[1].b_shared, nullptr);
+    EXPECT_EQ(specs[3].a_shared, nullptr); // dense_cols is no path
+    EXPECT_EQ(specs[3].b_shared, nullptr);
+    EXPECT_EQ(specs[4].a_shared, nullptr);
+}
+
+TEST(JobFileTest, SamePathAsBothOperandsLoadsTwoEqualOperands)
+{
+    Rng rng(42);
+    const std::string path =
+        writeTempMatrix("both.mtx", generateUniform(40, 40, 0.1, rng));
+    const CsrMatrix expected = readBack(path);
+    const std::vector<ServeJobSpec> specs =
+        parseJobFile(writeTempFile("both.jsonl", jobLine(path, path)));
+    ASSERT_EQ(specs.size(), 1u);
+    ASSERT_NE(specs[0].a_shared, nullptr); // Two references, one line.
+    EXPECT_EQ(specs[0].a_shared, specs[0].b_shared);
+    const BatchJob job = loadServeJob(specs[0]);
+    EXPECT_EQ(job.a, expected);
+    EXPECT_EQ(job.b, expected);
+}
+
+TEST(JobFileTest, LoadsBeyondTheCountReadTheFileAgain)
+{
+    Rng rng(43);
+    const std::string path =
+        writeTempMatrix("extra.mtx", generateUniform(36, 36, 0.1, rng));
+    const CsrMatrix first = readBack(path);
+    const std::vector<ServeJobSpec> specs = parseJobFile(
+        writeTempFile("extra.jsonl", jobLine(path) + jobLine(path)));
+    ASSERT_EQ(specs.size(), 2u);
+    EXPECT_EQ(loadServeJob(specs[0]).a, first);
+    EXPECT_EQ(loadServeJob(specs[1]).a, first);
+
+    // Both counted loads are spent, so the slot holds nothing: further
+    // loads read whatever the file holds now.
+    writeMatrixMarketFile(path, generateUniform(36, 36, 0.2, rng));
+    const CsrMatrix second = readBack(path);
+    ASSERT_FALSE(second == first);
+    for (int i = 0; i < 2; ++i) {
+        const BatchJob job = loadServeJob(specs[1]);
+        EXPECT_EQ(job.a, second);
+        EXPECT_EQ(job.b, second); // B defaults to self.
+    }
+}
+
+TEST_F(ServeTest, SharedOperandJobFileServesLikeFreshReads)
+{
+    // Two tenants, each B named on three lines, every A distinct.
+    Rng rng(44);
+    const std::string b_paths[2] = {
+        writeTempMatrix("tenant_b0.mtx", generateUniform(96, 64, 0.06, rng)),
+        writeTempMatrix("tenant_b1.mtx", generateUniform(96, 80, 0.03, rng))};
+    std::vector<std::pair<std::string, std::string>> lines;
+    std::string text;
+    for (int i = 0; i < 6; ++i) {
+        const std::string a_path = writeTempMatrix(
+            "tenant_a" + std::to_string(i) + ".mtx",
+            generateUniform(64, 96, 0.05, rng));
+        lines.emplace_back(a_path, b_paths[i % 2]);
+        text += jobLine(a_path, b_paths[i % 2]);
+    }
+    const std::string job_file = writeTempFile("tenants.jsonl", text);
+
+    const auto serve = [&](auto &&next_job) {
+        MisamFramework misam = freshFramework();
+        SummaryCache cache;
+        misam.setSummaryCache(&cache);
+        std::ostringstream out;
+        {
+            MetricsSink sink(out);
+            ServeConfig config;
+            config.window = 4;
+            MisamServer server(misam, config);
+            server.setMetrics(nullptr);
+            server.setTraceSink(&sink);
+            for (std::size_t i = 0; i < lines.size(); ++i)
+                (void)server.submit(next_job(i));
+            server.drain();
+            for (const ExecutionReport &r : server.report().jobs)
+                sink.event("serve.job",
+                           {{"name", r.name},
+                            {"predicted", designName(r.predicted)},
+                            {"chosen", designName(r.decision.chosen)},
+                            {"reconfigure", r.decision.reconfigure ? 1 : 0},
+                            {"execute_s", r.breakdown.execute_s},
+                            {"cycles", r.sim.total_cycles}});
+        }
+        misam.setSummaryCache(nullptr);
+        EXPECT_EQ(cache.summaryMisses(), 8u); // 6 A + 2 B operands.
+        return out.str();
+    };
+
+    const std::vector<ServeJobSpec> specs = parseJobFile(job_file);
+    const std::string shared =
+        serve([&](std::size_t i) { return loadServeJob(specs[i]); });
+    const std::string fresh = serve([&](std::size_t i) {
+        BatchJob job;
+        job.name = "job" + std::to_string(i);
+        job.a = readBack(lines[i].first);
+        job.b = readBack(lines[i].second);
+        return job;
+    });
+    EXPECT_NE(shared.find("\"ev\":\"serve.job\""), std::string::npos);
+    EXPECT_EQ(shared, fresh);
+}
+
+// --------------------------------------------------------------------
+// Seeded mutation run over the job-file parser
+// --------------------------------------------------------------------
+
+const char kJobFileBase[] =
+    "{\"name\":\"j0\",\"a\":\"a.mtx\",\"b\":\"w.mtx\",\"repetitions\":8}\n"
+    "{\"name\":\"j1\",\"a\":\"b.mtx\",\"b\":\"self\"}\n"
+    "{\"name\":\"j2\",\"a\":\"c.mtx\",\"dense_cols\":64}\n";
+
+using mutation_test::parsedOrRefused;
+using mutation_test::substituted;
+
+/** About 64 deterministic mutants of kJobFileBase. */
+std::vector<std::string>
+jobFileMutationCorpus()
+{
+    const std::string base = kJobFileBase;
+    std::vector<std::string> mutants;
+    // Truncation after every field boundary.
+    for (std::size_t i = 1; i <= base.size(); ++i)
+        if (base[i - 1] == ':' || base[i - 1] == ',' ||
+            base[i - 1] == '}')
+            mutants.push_back(base.substr(0, i));
+    // Seeded single-byte replacements, any byte value.
+    Rng rng(0x6a6f6273);
+    for (int i = 0; i < 20; ++i) {
+        std::string m = base;
+        m[rng.uniformInt(m.size())] =
+            static_cast<char>(rng.uniformInt(std::uint64_t{256}));
+        mutants.push_back(m);
+    }
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             // Duplicate keys.
+             {"\"a\":\"a.mtx\"", "\"a\":\"a.mtx\",\"a\":\"z.mtx\""},
+             {"\"repetitions\":8", "\"repetitions\":8,\"repetitions\":2"},
+             {"\"dense_cols\":64", "\"dense_cols\":64,\"dense_cols\":9"},
+             // Unterminated strings and bad escapes.
+             {"\"j0\"", "\"j0"},
+             {"\"self\"}", "\"self}"},
+             {"j1", "j\\q"},
+             {"j1", "j\\u0041"},
+             {"\"j2\"", "\"j2\\"},
+             // Overflowing, non-finite and malformed numbers.
+             {"8}", "1e999}"},
+             {"8}", "-1e999}"},
+             {"8}", "1e-999}"},
+             {"8}", "1e308}"},
+             {"8}", "0.5}"},
+             {"8}", "1-2}"},
+             {"8}", "--}"},
+             {"8}", "+}"},
+             {"8}", "99999999999999999999999}"},
+             {"64}", "4294967296}"},
+             {"64}", "4294967295}"},
+             {"64}", "1e20}"},
+             {"64}", "1e999}"},
+             {"64}", "-5}"},
+             {"64}", "0}"},
+             {"64}", "2.5}"},
+             // b plus dense_cols.
+             {"\"dense_cols\"", "\"b\":\"w.mtx\",\"dense_cols\""},
+             {"\"dense_cols\"", "\"b\":\"self\",\"dense_cols\""},
+         })
+        mutants.push_back(substituted(base, from, to));
+    return mutants;
+}
+
+TEST(JobFileFuzz, SeededMutantsParseOrRefuse)
+{
+    const std::vector<std::string> mutants = jobFileMutationCorpus();
+    ASSERT_GE(mutants.size(), 60u);
+    for (std::size_t i = 0; i < mutants.size(); ++i) {
+        const std::string path = writeTempFile(
+            "mutant" + std::to_string(i) + ".jsonl", mutants[i]);
+        EXPECT_EXIT(
+            {
+                (void)parseJobFile(path);
+                std::fprintf(stderr, "parsed\n");
+                std::exit(0);
+            },
+            parsedOrRefused,
+            "parsed|mutant" + std::to_string(i) + "\\.jsonl:[0-9]+: ")
+            << "mutant " << i << ":\n"
+            << mutants[i];
+    }
 }
 
 } // namespace
