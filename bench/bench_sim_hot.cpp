@@ -26,14 +26,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
-#include "sparse/fingerprint.hh"
 #include "sim/design_sim.hh"
 #include "sim/workspace.hh"
 #include "sparse/generate.hh"
@@ -158,10 +156,9 @@ runWorkload(const HotWorkload &w)
  * one row per shape family. The steady-state loops above either
  * memoize the analysis work or run marker-path shapes that bypass the
  * vector kernels, so they say nothing about the dispatch backends;
- * each row drives the bitmap symbolic merge (orInto/popcountAndClear),
- * the fingerprint bulk rounds (fingerprintBulk/packPairsU32), and the
- * fused numeric kernel's expandSetBits emit on one family's operands,
- * under scalar vs the widest supported backend. The outputs are
+ * each row drives the bitmap symbolic merge (orInto/popcountAndClear)
+ * and the fused numeric kernel's expandSetBits emit on one family's
+ * operands, under scalar vs the widest supported backend. The outputs are
  * byte-identical by contract; only the time may differ — and the gap
  * is family-dependent (word count per bitmap row, run lengths), which
  * is why one aggregate row was not enough.
@@ -210,20 +207,6 @@ compareBackends(const std::vector<HotWorkload> &workloads)
     for (const Driver &d : drivers) {
         BackendRow row;
         row.family = d.family;
-        // Words for the fingerprint leg, prepared outside the timer:
-        // fingerprintMatrix memoizes its digest on the matrix, so
-        // timing it warm would measure the memo, not the
-        // simd::fingerprintBulk kernel under comparison. Hashing both
-        // operands' values through mixRange drives the same bulk path
-        // with a fresh hasher every rep.
-        static_assert(sizeof(Value) == sizeof(std::uint64_t));
-        std::vector<std::uint64_t> hash_words(d.a->values().size() +
-                                              d.b->values().size());
-        std::memcpy(hash_words.data(), d.a->values().data(),
-                    d.a->values().size() * sizeof(std::uint64_t));
-        std::memcpy(hash_words.data() + d.a->values().size(),
-                    d.b->values().data(),
-                    d.b->values().size() * sizeof(std::uint64_t));
         for (const simd::Backend backend :
              {simd::Backend::Scalar, best}) {
             simd::setBackendForTesting(backend);
@@ -234,8 +217,6 @@ compareBackends(const std::vector<HotWorkload> &workloads)
             for (std::size_t i = 0; i < d.reps; ++i) {
                 spgemmSymbolic(*d.a, *d.b);
                 spgemmNumericFused(*d.a, *d.b, &sym);
-                FingerprintHasher hasher;
-                hasher.mixRange(hash_words.data(), hash_words.size());
             }
             const auto stop = std::chrono::steady_clock::now();
             const double secs =
@@ -499,7 +480,7 @@ main(int argc, char **argv)
     if (!smoke) {
         cmp = compareBackends(workloads);
         for (const BackendRow &r : cmp.rows)
-            std::printf("backends[%s]: symbolic+numeric+fingerprint "
+            std::printf("backends[%s]: symbolic+numeric "
                         "kernels scalar %.3fs vs %s %.3fs (%.2fx)\n",
                         r.family, r.scalar_kernel_seconds, cmp.best,
                         r.best_kernel_seconds, r.vector_vs_scalar);

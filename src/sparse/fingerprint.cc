@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "util/simd.hh"
-
 namespace misam {
 
 namespace {
@@ -47,37 +45,103 @@ constexpr std::uint64_t kTagRowPtr = 0x526f77507472ULL; // "RowPtr"
 constexpr std::uint64_t kTagColIdx = 0x436f6c496478ULL; // "ColIdx"
 constexpr std::uint64_t kTagValues = 0x56616c756573ULL; // "Values"
 
-/** Stack-buffer size (words) for converting col_idx/values runs. */
+/** Longest run (words) one mixRange absorbs from col_idx or values. */
 constexpr std::size_t kChunkWords = 512;
 
-} // namespace
-
-void
-FingerprintHasher::mix(std::uint64_t word)
+/** Word i of a 64-bit array (row_ptr, or values bit-cast), in place. */
+struct Words64
 {
-    h1_ = mix64(h1_ ^ (word * 0x9e3779b97f4a7c15ULL));
-    h2_ = mix64(rotl64(h2_, 29) + (word * 0xc2b2ae3d27d4eb4fULL));
-    ++len_;
-}
+    const void *base;
 
-// misam-lint: hot-path begin -- the bulk rounds stream every rowPtr/colIdx/values word of an unfingerprinted matrix; stack chunk buffers only
-void
-FingerprintHasher::mixRange(const std::uint64_t *words, std::size_t n)
+    std::uint64_t
+    operator()(std::size_t i) const
+    {
+        std::uint64_t w;
+        std::memcpy(&w, static_cast<const char *>(base) + 8 * i, 8);
+        return w;
+    }
+};
+
+/** Word i of a u32 array: the pair (2i, 2i+1) packed as lo | hi << 32. */
+struct PairsU32
 {
-    // Four independent lanes seeded from the running state: the
-    // multiply chains of consecutive words overlap instead of
-    // serializing, which is where the throughput comes from. The
-    // grouped rounds run through simd::fingerprintBulk, whose vector
-    // variants reproduce bulkRound's lane math bit-for-bit.
+    const std::uint32_t *base;
+
+    std::uint64_t
+    operator()(std::size_t i) const
+    {
+        // Little-endian, the pair's eight bytes are the packed word.
+        if constexpr (std::endian::native == std::endian::little)
+            return Words64{base}(i);
+        else
+            return static_cast<std::uint64_t>(base[2 * i]) |
+                   static_cast<std::uint64_t>(base[2 * i + 1]) << 32;
+    }
+};
+
+/**
+ * Incremental two-lane mixer over 64-bit words. Word order matters
+ * (by design: permuted arrays are different content).
+ */
+class FingerprintHasher
+{
+  public:
+    /** Fold one 64-bit word into both lanes. */
+    void
+    mix(std::uint64_t word)
+    {
+        h1_ = mix64(h1_ ^ (word * 0x9e3779b97f4a7c15ULL));
+        h2_ = mix64(rotl64(h2_, 29) + (word * 0xc2b2ae3d27d4eb4fULL));
+        ++len_;
+    }
+
+    /**
+     * Absorb words word(0) .. word(n - 1) as one run through the
+     * four-lane loop. The lane fold keeps run boundaries part of the
+     * digest, so mixRange over two words and two mix() calls produce
+     * different (equally valid) digests: the framing is fixed.
+     */
+    template <class WordAt>
+    void mixRange(const WordAt &word, std::size_t n);
+
+    /** Finalize. The hasher may keep absorbing words afterwards. */
+    Fingerprint128
+    digest() const
+    {
+        const std::uint64_t a = mix64(h1_ + len_ * 0xff51afd7ed558ccdULL);
+        const std::uint64_t b = mix64(h2_ ^ rotl64(a, 31));
+        return {a, b};
+    }
+
+  private:
+    std::uint64_t h1_ = 0x6a09e667f3bcc908ULL; ///< sqrt(2) bits.
+    std::uint64_t h2_ = 0xbb67ae8584caa73bULL; ///< sqrt(3) bits.
+    std::uint64_t len_ = 0;
+};
+
+// misam-lint: hot-path begin -- the lane loop reads every rowPtr/colIdx/values word of an unfingerprinted matrix in place; no buffers
+template <class WordAt>
+void
+FingerprintHasher::mixRange(const WordAt &word, std::size_t n)
+{
+    // Four independent lanes seeded from the running state, word i
+    // going to lane i % 4: the multiply chains of consecutive words
+    // overlap instead of serializing. The tail goes through lane 0.
     std::uint64_t lanes[4] = {
         h1_ ^ 0x243f6a8885a308d3ULL,
         h2_ + 0x13198a2e03707344ULL,
         rotl64(h1_, 17) + 0xa4093822299f31d0ULL,
         rotl64(h2_, 41) ^ 0x082efa98ec4e6c89ULL,
     };
-    std::size_t i = simd::fingerprintBulk(lanes, words, n);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        lanes[0] = bulkRound(lanes[0], word(i));
+        lanes[1] = bulkRound(lanes[1], word(i + 1));
+        lanes[2] = bulkRound(lanes[2], word(i + 2));
+        lanes[3] = bulkRound(lanes[3], word(i + 3));
+    }
     for (; i < n; ++i)
-        lanes[0] = bulkRound(lanes[0], words[i]);
+        lanes[0] = bulkRound(lanes[0], word(i));
     // Fold the lanes (and the run length, so runs of different word
     // counts never alias) back into the running state through the
     // full-avalanche path.
@@ -88,13 +152,7 @@ FingerprintHasher::mixRange(const std::uint64_t *words, std::size_t n)
     mix(n);
 }
 
-Fingerprint128
-FingerprintHasher::digest() const
-{
-    const std::uint64_t a = mix64(h1_ + len_ * 0xff51afd7ed558ccdULL);
-    const std::uint64_t b = mix64(h2_ ^ rotl64(a, 31));
-    return {a, b};
-}
+} // namespace
 
 Fingerprint128
 fingerprintMatrix(const CsrMatrix &m)
@@ -117,45 +175,36 @@ fingerprintMatrix(const CsrMatrix &m)
 
     h.mix(kTagRowPtr);
     static_assert(sizeof(Offset) == sizeof(std::uint64_t));
-    h.mixRange(m.rowPtr().data(), m.rowPtr().size());
+    h.mixRange(Words64{m.rowPtr().data()}, m.rowPtr().size());
 
     h.mix(kTagColIdx);
     {
-        // Pack two 32-bit column indices per word. An odd trailing
-        // index rides alone in the low half; the nnz word mixed above
-        // disambiguates that from a packed pair with a zero high half.
-        const std::vector<Index> &ci = m.colIdx();
+        // Two 32-bit column indices per word, at most kChunkWords words
+        // per run. An odd trailing index is a one-word run of its own
+        // in the low half; the nnz word mixed above disambiguates that
+        // from a packed pair with a zero high half.
         static_assert(sizeof(Index) == sizeof(std::uint32_t));
-        std::uint64_t buf[kChunkWords];
-        const std::size_t n = ci.size();
+        const Index *ci = m.colIdx().data();
+        const std::size_t n = m.colIdx().size();
         std::size_t i = 0;
         while (i + 1 < n) {
-            const std::size_t take =
-                std::min(kChunkWords, (n - i) / 2);
-            simd::packPairsU32(buf, ci.data() + i, take);
-            h.mixRange(buf, take);
+            const std::size_t take = std::min(kChunkWords, (n - i) / 2);
+            h.mixRange(PairsU32{ci + i}, take);
             i += 2 * take;
         }
         if (i < n) {
             const std::uint64_t tail = ci[i];
-            h.mixRange(&tail, 1);
+            h.mixRange(Words64{&tail}, 1);
         }
     }
 
     h.mix(kTagValues);
     {
-        const std::vector<Value> &vals = m.values();
         static_assert(sizeof(Value) == sizeof(std::uint64_t));
-        std::uint64_t buf[kChunkWords];
-        std::size_t i = 0;
-        while (i < vals.size()) {
-            const std::size_t k =
-                std::min(kChunkWords, vals.size() - i);
-            std::memcpy(buf, vals.data() + i,
-                        k * sizeof(std::uint64_t));
-            h.mixRange(buf, k);
-            i += k;
-        }
+        const Value *vals = m.values().data();
+        const std::size_t n = m.values().size();
+        for (std::size_t i = 0; i < n; i += kChunkWords)
+            h.mixRange(Words64{vals + i}, std::min(kChunkWords, n - i));
     }
     const Fingerprint128 fp = h.digest();
     m.storeFingerprint(fp.hi, fp.lo);

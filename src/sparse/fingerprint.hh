@@ -20,9 +20,18 @@
  * array content flows through a four-lane murmur-style inner loop (one
  * xor-rotate-multiply round per word, lanes independent so the four
  * multiply chains overlap) that is folded back into the running state
- * per block. Deterministic across platforms, and wide enough (128 bits)
+ * per run: row_ptr is one run, col_idx and values go in runs of at most
+ * 512 words. Deterministic across platforms, and wide enough (128 bits)
  * that accidental collisions are not a practical concern for a cache
  * key. It is NOT cryptographic.
+ *
+ * The loop is scalar and reads row_ptr, col_idx and values in place,
+ * one 8-byte load per word (a col_idx word is a pair of indices). There
+ * is no vector variant on purpose: each lane is a serial chain of
+ * xor, rotate and multiply, so a vector multiply (vpmullq's latency is
+ * several times scalar imul's) only lengthens the chains, and the
+ * scalar loop already hashes as fast as a plain read-and-sum of the
+ * same arrays.
  */
 
 #ifndef MISAM_SPARSE_FINGERPRINT_HH
@@ -59,34 +68,6 @@ struct FingerprintHash
     {
         return static_cast<std::size_t>(fp.fold());
     }
-};
-
-/**
- * Incremental two-lane mixer over 64-bit words. Word order matters
- * (by design: permuted arrays are different content).
- */
-class FingerprintHasher
-{
-  public:
-    /** Fold one 64-bit word into both lanes. */
-    void mix(std::uint64_t word);
-
-    /**
-     * Absorb a run of words through the four-lane fast path. Equivalent
-     * determinism guarantees as repeated mix(), but ~4x the throughput;
-     * the lane fold keeps block boundaries part of the digest, so
-     * mixRange(a, 2) and mix(a[0]); mix(a[1]) produce different (equally
-     * valid) digests — callers must pick one framing and keep it.
-     */
-    void mixRange(const std::uint64_t *words, std::size_t n);
-
-    /** Finalize. The hasher may keep absorbing words afterwards. */
-    Fingerprint128 digest() const;
-
-  private:
-    std::uint64_t h1_ = 0x6a09e667f3bcc908ULL; ///< sqrt(2) bits.
-    std::uint64_t h2_ = 0xbb67ae8584caa73bULL; ///< sqrt(3) bits.
-    std::uint64_t len_ = 0;
 };
 
 /**

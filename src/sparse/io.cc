@@ -163,10 +163,14 @@ parseMatrixMarket(const std::string &buf)
         if (!ok)
             fatal("MatrixMarket: bad size line '", size_line, "'");
     }
+    // A dimension of Index's maximum is refused too: every `rows + 1` /
+    // `cols + 1` in Index arithmetic (cooToCsr, csrToCsc, the CSR and
+    // CSC constructors) would wrap to 0.
     constexpr std::uint64_t kMaxDim = std::numeric_limits<Index>::max();
-    if (rows > kMaxDim || cols > kMaxDim)
+    if (rows >= kMaxDim || cols >= kMaxDim)
         fatal("MatrixMarket: size ", rows, " x ", cols,
-              " exceeds the 32-bit index range");
+              " exceeds the 32-bit index range (largest dimension ",
+              kMaxDim - 1, ")");
     // Each entry is at least two one-digit tokens plus a separator, and
     // entries are separated too: n entries need at least 4n - 1 bytes.
     const auto remaining = static_cast<std::uint64_t>(end - p);

@@ -26,9 +26,10 @@
  * empty input; a missing banner tag; an object or format other than
  * `matrix coordinate`; a field other than real/integer/pattern; a
  * symmetry other than general/symmetric; a size line that lacks three
- * unsigned tokens; rows or cols beyond the 32-bit Index range; an nnz
- * larger than the remaining bytes could encode (4 per entry), checked
- * before anything is reserved; a truncated entry; a malformed index; a
+ * unsigned tokens; rows or cols of 4294967295 (Index's maximum, where
+ * `rows + 1` wraps to 0) or more; an nnz larger than the remaining
+ * bytes could encode (4 per entry), checked before anything is
+ * reserved; a truncated entry; a malformed index; a
  * missing or malformed value; a value that is inf or nan or overflows;
  * an index of 0 or beyond the size line. A token must end at a separator
  * or at the end of input: `1.5abc` or `0x10` is malformed, not `1.5` or

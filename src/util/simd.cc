@@ -57,14 +57,12 @@ resolveFromEnv()
 // ---------------------------------------------------------------------
 
 std::atomic<std::uint64_t> g_bitmap_rows{0};
-std::atomic<std::uint64_t> g_fingerprint_blocks{0};
 std::atomic<std::uint64_t> g_weight_builds{0};
 std::atomic<std::uint64_t> g_pe_folds{0};
 std::atomic<std::uint64_t> g_csc_blocked{0};
 std::atomic<std::uint64_t> g_expand_rows{0};
 
 std::atomic<Counter *> g_mirror_bitmap_rows{nullptr};
-std::atomic<Counter *> g_mirror_fingerprint_blocks{nullptr};
 std::atomic<Counter *> g_mirror_weight_builds{nullptr};
 std::atomic<Counter *> g_mirror_pe_folds{nullptr};
 std::atomic<Counter *> g_mirror_csc_blocked{nullptr};
@@ -91,7 +89,7 @@ publishBackendGauge()
 // Scalar reference kernels. Every vector variant must match these
 // byte-for-byte (tests/test_simd_dispatch.cpp).
 // ---------------------------------------------------------------------
-// misam-lint: hot-path begin -- kernel bodies run per 64-bit word of every bitmask/fingerprint pass; any allocation here multiplies by nnz
+// misam-lint: hot-path begin -- kernel bodies run per 64-bit word of every bitmask pass; any allocation here multiplies by nnz
 
 void
 orIntoScalar(std::uint64_t *acc, const std::uint64_t *src,
@@ -110,46 +108,6 @@ popcountAndClearScalar(std::uint64_t *words, std::size_t n)
         words[i] = 0;
     }
     return total;
-}
-
-std::uint64_t
-rotl64(std::uint64_t x, int r)
-{
-    return (x << r) | (x >> (64 - r));
-}
-
-// The fingerprint bulk-round constants (sparse/fingerprint.cc keeps the
-// canonical scalar loop; these variants must agree with it exactly).
-constexpr std::uint64_t kFpMul1 = 0x9e3779b97f4a7c15ULL;
-constexpr std::uint64_t kFpMul2 = 0xc2b2ae3d27d4eb4fULL;
-
-std::uint64_t
-fingerprintRound(std::uint64_t lane, std::uint64_t word)
-{
-    return rotl64(lane ^ (word * kFpMul1), 31) * kFpMul2;
-}
-
-std::size_t
-fingerprintBulkScalar(std::uint64_t lanes[4], const std::uint64_t *words,
-                      std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        lanes[0] = fingerprintRound(lanes[0], words[i]);
-        lanes[1] = fingerprintRound(lanes[1], words[i + 1]);
-        lanes[2] = fingerprintRound(lanes[2], words[i + 2]);
-        lanes[3] = fingerprintRound(lanes[3], words[i + 3]);
-    }
-    return i;
-}
-
-void
-packPairsU32Scalar(std::uint64_t *dst, const std::uint32_t *src,
-                   std::size_t pairs)
-{
-    for (std::size_t i = 0; i < pairs; ++i)
-        dst[i] = static_cast<std::uint64_t>(src[2 * i]) |
-                 (static_cast<std::uint64_t>(src[2 * i + 1]) << 32);
 }
 
 void
@@ -269,63 +227,6 @@ popcountAndClearAvx2(std::uint64_t *words, std::size_t n)
         words[i] = 0;
     }
     return total;
-}
-
-/** Full 64x64->low-64 multiply by a broadcast constant. */
-MISAM_AVX2 __m256i
-mul64Avx2(__m256i a, __m256i b)
-{
-    const __m256i lo = _mm256_mul_epu32(a, b);
-    const __m256i hi1 =
-        _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b);
-    const __m256i hi2 =
-        _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32));
-    return _mm256_add_epi64(
-        lo, _mm256_slli_epi64(_mm256_add_epi64(hi1, hi2), 32));
-}
-
-MISAM_AVX2 __m256i
-rotl64Avx2(__m256i x, int r)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, r),
-                           _mm256_srli_epi64(x, 64 - r));
-}
-
-MISAM_AVX2 std::size_t
-fingerprintBulkAvx2(std::uint64_t lanes[4], const std::uint64_t *words,
-                    std::size_t n)
-{
-    const __m256i c1 = _mm256_set1_epi64x(
-        static_cast<long long>(kFpMul1));
-    const __m256i c2 = _mm256_set1_epi64x(
-        static_cast<long long>(kFpMul2));
-    __m256i state = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(lanes));
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(words + i));
-        const __m256i mixed =
-            _mm256_xor_si256(state, mul64Avx2(w, c1));
-        state = mul64Avx2(rotl64Avx2(mixed, 31), c2);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), state);
-    return i;
-}
-
-MISAM_AVX2 void
-packPairsU32Avx2(std::uint64_t *dst, const std::uint32_t *src,
-                 std::size_t pairs)
-{
-    // Little-endian x86: a (lo, hi) u32 pair in memory is exactly the
-    // packed u64, so wide copies reproduce the scalar shift/or loop.
-    std::size_t i = 0;
-    for (; i + 4 <= pairs; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + 2 * i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), v);
-    }
-    packPairsU32Scalar(dst + i, src + 2 * i, pairs - i);
 }
 
 // f64 <-> u64 conversion for values below 2^52: or/subtract against the
@@ -450,8 +351,8 @@ peScheduleFoldAvx2(const std::uint64_t *acc4, std::size_t n,
 // ---------------------------------------------------------------------
 // AVX-512 kernels (x86-64, runtime-probed for F+BW+DQ+VL). The host we
 // target has no VPOPCNTDQ, so popcount stays on Mula's shuffle method,
-// just at 512-bit width; DQ's vpmullq replaces AVX2's three-multiply
-// 64-bit product in the fingerprint rounds and the schedule fold.
+// just at 512-bit width; DQ's vpmullq gives the schedule fold a full
+// 64-bit product.
 // ---------------------------------------------------------------------
 
 #define MISAM_AVX512                                                   \
@@ -498,38 +399,6 @@ popcountAndClearAvx512(std::uint64_t *words, std::size_t n)
         words[i] = 0;
     }
     return total;
-}
-
-MISAM_AVX512 std::size_t
-fingerprintBulkAvx512(std::uint64_t lanes[4],
-                      const std::uint64_t *words, std::size_t n)
-{
-    const __m256i c1 =
-        _mm256_set1_epi64x(static_cast<long long>(kFpMul1));
-    const __m256i c2 =
-        _mm256_set1_epi64x(static_cast<long long>(kFpMul2));
-    __m256i state = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(lanes));
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(words + i));
-        const __m256i mixed =
-            _mm256_xor_si256(state, _mm256_mullo_epi64(w, c1));
-        state = _mm256_mullo_epi64(_mm256_rol_epi64(mixed, 31), c2);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(lanes), state);
-    return i;
-}
-
-MISAM_AVX512 void
-packPairsU32Avx512(std::uint64_t *dst, const std::uint32_t *src,
-                   std::size_t pairs)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= pairs; i += 8)
-        _mm512_storeu_si512(dst + i, _mm512_loadu_si512(src + 2 * i));
-    packPairsU32Scalar(dst + i, src + 2 * i, pairs - i);
 }
 
 MISAM_AVX512 void
@@ -709,53 +578,6 @@ popcountAndClearNeon(std::uint64_t *words, std::size_t n)
     return total;
 }
 
-uint64x2_t
-fingerprintRoundNeon(uint64x2_t lane, uint64x2_t word)
-{
-    // NEON has no 64-bit vector multiply; the multiplies stay scalar
-    // while the xor/rotate run vectorized. Lane math is unchanged.
-    const uint64x2_t prod = {
-        vgetq_lane_u64(word, 0) * kFpMul1,
-        vgetq_lane_u64(word, 1) * kFpMul1,
-    };
-    const uint64x2_t mixed = veorq_u64(lane, prod);
-    const uint64x2_t rot = vorrq_u64(vshlq_n_u64(mixed, 31),
-                                     vshrq_n_u64(mixed, 33));
-    return uint64x2_t{
-        vgetq_lane_u64(rot, 0) * kFpMul2,
-        vgetq_lane_u64(rot, 1) * kFpMul2,
-    };
-}
-
-std::size_t
-fingerprintBulkNeon(std::uint64_t lanes[4], const std::uint64_t *words,
-                    std::size_t n)
-{
-    uint64x2_t s01 = vld1q_u64(lanes);
-    uint64x2_t s23 = vld1q_u64(lanes + 2);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        s01 = fingerprintRoundNeon(s01, vld1q_u64(words + i));
-        s23 = fingerprintRoundNeon(s23, vld1q_u64(words + i + 2));
-    }
-    vst1q_u64(lanes, s01);
-    vst1q_u64(lanes + 2, s23);
-    return i;
-}
-
-void
-packPairsU32Neon(std::uint64_t *dst, const std::uint32_t *src,
-                 std::size_t pairs)
-{
-    // Little-endian aarch64: the pair layout is the packed word.
-    std::size_t i = 0;
-    for (; i + 2 <= pairs; i += 2) {
-        vst1q_u64(dst + i,
-                  vreinterpretq_u64_u32(vld1q_u32(src + 2 * i)));
-    }
-    packPairsU32Scalar(dst + i, src + 2 * i, pairs - i);
-}
-
 #endif // __aarch64__
 // misam-lint: hot-path end
 
@@ -893,51 +715,6 @@ popcountAndClear(std::uint64_t *words, std::size_t n)
     }
 }
 
-std::size_t
-fingerprintBulk(std::uint64_t lanes[4], const std::uint64_t *words,
-                std::size_t n)
-{
-    bumpBy(g_fingerprint_blocks, g_mirror_fingerprint_blocks, 1);
-    switch (activeBackend()) {
-#if defined(__x86_64__)
-      case Backend::Avx2:
-        return fingerprintBulkAvx2(lanes, words, n);
-      case Backend::Avx512:
-        return fingerprintBulkAvx512(lanes, words, n);
-#endif
-#if defined(__aarch64__)
-      case Backend::Neon:
-        return fingerprintBulkNeon(lanes, words, n);
-#endif
-      default:
-        return fingerprintBulkScalar(lanes, words, n);
-    }
-}
-
-void
-packPairsU32(std::uint64_t *dst, const std::uint32_t *src,
-             std::size_t pairs)
-{
-    switch (activeBackend()) {
-#if defined(__x86_64__)
-      case Backend::Avx2:
-        packPairsU32Avx2(dst, src, pairs);
-        return;
-      case Backend::Avx512:
-        packPairsU32Avx512(dst, src, pairs);
-        return;
-#endif
-#if defined(__aarch64__)
-      case Backend::Neon:
-        packPairsU32Neon(dst, src, pairs);
-        return;
-#endif
-      default:
-        packPairsU32Scalar(dst, src, pairs);
-        return;
-    }
-}
-
 void
 ceilDivWeights(std::uint64_t *dst, const std::uint64_t *row_nnz,
                std::size_t n, double eff_lanes, std::uint64_t meta)
@@ -994,8 +771,6 @@ simdCounters()
 {
     SimdCounters c;
     c.bitmap_rows = g_bitmap_rows.load(std::memory_order_relaxed);
-    c.fingerprint_blocks =
-        g_fingerprint_blocks.load(std::memory_order_relaxed);
     c.weight_builds = g_weight_builds.load(std::memory_order_relaxed);
     c.pe_folds = g_pe_folds.load(std::memory_order_relaxed);
     c.csc_blocked = g_csc_blocked.load(std::memory_order_relaxed);
@@ -1026,8 +801,6 @@ setSimdMetrics(MetricsRegistry *registry)
 {
     if (registry == nullptr) {
         g_mirror_bitmap_rows.store(nullptr, std::memory_order_relaxed);
-        g_mirror_fingerprint_blocks.store(nullptr,
-                                          std::memory_order_relaxed);
         g_mirror_weight_builds.store(nullptr,
                                      std::memory_order_relaxed);
         g_mirror_pe_folds.store(nullptr, std::memory_order_relaxed);
@@ -1038,9 +811,6 @@ setSimdMetrics(MetricsRegistry *registry)
     }
     g_mirror_bitmap_rows.store(
         &registry->counter("simd.bitmap_rows"),
-        std::memory_order_relaxed);
-    g_mirror_fingerprint_blocks.store(
-        &registry->counter("simd.fingerprint_blocks"),
         std::memory_order_relaxed);
     g_mirror_weight_builds.store(
         &registry->counter("simd.weight_builds"),

@@ -3,7 +3,7 @@
  * Portable fixed-width SIMD kernels with runtime dispatch.
  *
  * The simulator's hot loops (fused symbolic SpGEMM, PE-stat folds,
- * Design-4 job weights, fingerprint bulk hashing) bottom out in a small
+ * Design-4 job weights, the numeric-SpGEMM emit) bottom out in a small
  * set of flat-array kernels. This header is their one doorway: each
  * kernel has a scalar reference implementation plus vector variants
  * (AVX2/AVX-512 on x86-64, NEON on aarch64) compiled into
@@ -86,20 +86,6 @@ void orInto(std::uint64_t *acc, const std::uint64_t *src,
 std::uint64_t popcountAndClear(std::uint64_t *words, std::size_t n);
 
 /**
- * The four-lane fingerprint bulk rounds (sparse/fingerprint.cc): absorb
- * floor(n/4)*4 words into lanes[0..3] using the xor-rotl31-multiply
- * round, word i going to lane i%4. Returns the number of words
- * consumed; the caller folds the tail through lane 0 itself. The vector
- * variants reproduce the scalar lane arithmetic bit-for-bit.
- */
-std::size_t fingerprintBulk(std::uint64_t lanes[4],
-                            const std::uint64_t *words, std::size_t n);
-
-/** dst[i] = src[2i] | src[2i+1] << 32 for i < pairs. */
-void packPairsU32(std::uint64_t *dst, const std::uint32_t *src,
-                  std::size_t pairs);
-
-/**
  * Design-4 job weights: dst[i] = meta + ceil(row_nnz[i] / eff_lanes),
  * the division and ceil performed element-wise in IEEE f64 exactly as
  * the scalar loop writes them (row_nnz values must stay below 2^52,
@@ -146,7 +132,6 @@ std::size_t expandSetBits(std::uint64_t *words, std::size_t n,
 struct SimdCounters
 {
     std::uint64_t bitmap_rows = 0;        ///< Bitmap symbolic A-rows.
-    std::uint64_t fingerprint_blocks = 0; ///< fingerprintBulk calls.
     std::uint64_t weight_builds = 0;      ///< ceilDivWeights calls.
     std::uint64_t pe_folds = 0;           ///< peScheduleFold calls.
     std::uint64_t csc_blocked = 0;        ///< Cache-blocked csrToCsc runs.

@@ -347,6 +347,28 @@ TEST(MatrixMarketDeath, RejectsColsBeyondIndexRange)
                 "MatrixMarket: .*32-bit index range");
 }
 
+TEST(MatrixMarketDeath, RejectsRowsAtIndexMax)
+{
+    // rows + 1 wraps to 0 in Index arithmetic, so the conversions would
+    // size row_ptr as 0 and write past it.
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4294967295 4 1\n"
+        "1 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "MatrixMarket: .*32-bit index range");
+}
+
+TEST(MatrixMarketDeath, RejectsColsAtIndexMax)
+{
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4 4294967295 1\n"
+        "1 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "MatrixMarket: .*32-bit index range");
+}
+
 TEST(MatrixMarketDeath, RejectsNnzBeyondInput)
 {
     std::stringstream ss(

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -125,6 +126,87 @@ TEST(Fingerprint, SensitiveToEveryComponent)
         const CsrMatrix mm(base.rows(), base.cols(), base.rowPtr(),
                            base.colIdx(), std::move(minus));
         EXPECT_NE(fingerprintMatrix(mp), fingerprintMatrix(mm));
+    }
+}
+
+/**
+ * A deterministic matrix with @p nnz nonzeros, 64 per row, 4096
+ * columns and at least one trailing empty row; no RNG behind it, so the
+ * pinned digests below depend on the hash alone.
+ */
+CsrMatrix
+pinnedMatrix(std::size_t nnz)
+{
+    constexpr Offset kPerRow = 64;
+    const Index rows = static_cast<Index>(nnz / kPerRow + 2);
+    std::vector<Offset> row_ptr(rows + 1);
+    for (Index r = 0; r <= rows; ++r)
+        row_ptr[r] = std::min<Offset>(r * kPerRow, nnz);
+    std::vector<Index> col_idx;
+    std::vector<Value> values;
+    for (std::size_t k = 0; k < nnz; ++k) {
+        const auto r = static_cast<Index>(k / kPerRow);
+        col_idx.push_back(static_cast<Index>(k % kPerRow) * 61 + r % 61);
+        values.push_back(
+            static_cast<double>(k * 2654435761ULL % 1000003) / 7.0 -
+            5000.0);
+    }
+    return CsrMatrix(rows, 4096, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
+}
+
+TEST(Fingerprint, DigestsArePinned)
+{
+    // Fingerprints key every memo cache and seed executeStream's tile
+    // RNG, so a changed digest changes goldens. These literals pin the
+    // framing: odd col_idx tails, 512-word run edges on col_idx pairs
+    // (1023/1024/1025/2049 nnz) and on values (511/512/513/1024 nnz).
+    struct Case
+    {
+        const char *name;
+        CsrMatrix m;
+        Fingerprint128 want;
+    };
+    const auto with_second_value = [](Value v) {
+        const CsrMatrix m = pinnedMatrix(3);
+        std::vector<Value> values = m.values();
+        values[1] = v;
+        return CsrMatrix(m.rows(), m.cols(), m.rowPtr(), m.colIdx(),
+                         std::move(values));
+    };
+    Rng rng(2024);
+    const Case cases[] = {
+        {"0x0", CsrMatrix(0, 0, {0}, {}, {}),
+         {0x67035d9493a3c999, 0x86300b5efd247cc0}},
+        {"5x7 no nnz",
+         CsrMatrix(5, 7, std::vector<Offset>(6, 0), {}, {}),
+         {0x931b6a2001cb8103, 0x26226bc16fd8b8a4}},
+        {"nnz 511", pinnedMatrix(511),
+         {0xc2bdf4f0724d1ca4, 0xacbb99719ec4bde9}},
+        {"nnz 512", pinnedMatrix(512),
+         {0x57f828c2695d9d2c, 0x89d75ae545e11221}},
+        {"nnz 513", pinnedMatrix(513),
+         {0x3105345ad7ae7709, 0xc7c9a02601811b8f}},
+        {"nnz 1023", pinnedMatrix(1023),
+         {0x2844e552189e4195, 0x317a6f2a41d55e2b}},
+        {"nnz 1024", pinnedMatrix(1024),
+         {0x0cbe3f6a4b22848a, 0x79dce870f18d0230}},
+        {"nnz 1025", pinnedMatrix(1025),
+         {0xbb996ae60f1dfd0f, 0x46db739f87306d0c}},
+        {"nnz 2049", pinnedMatrix(2049),
+         {0x80cceababfc0bdc9, 0x0987939a78379414}},
+        {"dense 512x192", generateDenseCsr(512, 192, rng),
+         {0xa6e896c3be47e67a, 0x2284341cd0dc7d2e}},
+        {"value 0.0", with_second_value(0.0),
+         {0x691ccaff7da07fb0, 0x068b1fd7d7ee8b5c}},
+        {"value -0.0", with_second_value(-0.0),
+         {0xb3bce2da25f4713f, 0x4aaf2d025f03e378}},
+    };
+    for (const Case &c : cases) {
+        const Fingerprint128 got = fingerprintMatrix(c.m);
+        EXPECT_EQ(got, c.want)
+            << c.name << ": got {0x" << std::hex << got.hi << ", 0x"
+            << got.lo << "}";
     }
 }
 

@@ -134,8 +134,9 @@ TEST(SimdDispatch, BackendPlumbing)
     EXPECT_STREQ(simd::backendName(Backend::Avx512), "avx512");
     // AVX-512 subsumes AVX2: any host that can run the new backend can
     // also run the old one, so the parity matrix is never sparse.
-    if (simd::backendSupported(Backend::Avx512))
+    if (simd::backendSupported(Backend::Avx512)) {
         EXPECT_TRUE(simd::backendSupported(Backend::Avx2));
+    }
     {
         ScopedBackend forced(Backend::Scalar);
         EXPECT_EQ(simd::activeBackend(), Backend::Scalar);
@@ -180,60 +181,6 @@ TEST(SimdDispatch, PopcountAndClearParity)
                 << "n=" << n << " backend=" << simd::backendName(backend);
             EXPECT_EQ(words, std::vector<std::uint64_t>(n, 0))
                 << "n=" << n << " backend=" << simd::backendName(backend);
-        }
-    }
-}
-
-TEST(SimdDispatch, FingerprintBulkParity)
-{
-    const std::uint64_t seeds[4] = {0x1111, 0x2222, 0x3333, 0x4444};
-    for (std::size_t n : kLengths) {
-        const std::vector<std::uint64_t> words =
-            patternWords(n, 0x400 + n);
-        std::uint64_t want_lanes[4];
-        std::size_t want_consumed = 0;
-        bool first = true;
-        for (Backend backend : backendsUnderTest()) {
-            ScopedBackend forced(backend);
-            std::uint64_t lanes[4] = {seeds[0], seeds[1], seeds[2],
-                                      seeds[3]};
-            const std::size_t consumed =
-                simd::fingerprintBulk(lanes, words.data(), n);
-            EXPECT_EQ(consumed, n / 4 * 4) << "n=" << n;
-            if (first) {
-                for (int l = 0; l < 4; ++l)
-                    want_lanes[l] = lanes[l];
-                want_consumed = consumed;
-                first = false;
-                continue;
-            }
-            EXPECT_EQ(consumed, want_consumed) << "n=" << n;
-            for (int l = 0; l < 4; ++l)
-                EXPECT_EQ(lanes[l], want_lanes[l])
-                    << "n=" << n << " lane=" << l
-                    << " backend=" << simd::backendName(backend);
-        }
-    }
-}
-
-TEST(SimdDispatch, PackPairsU32Parity)
-{
-    for (std::size_t pairs : kLengths) {
-        Rng rng(0x500 + pairs);
-        std::vector<std::uint32_t> src(2 * pairs);
-        for (std::uint32_t &v : src)
-            v = static_cast<std::uint32_t>(rng.next());
-        std::vector<std::uint64_t> want(pairs);
-        for (std::size_t i = 0; i < pairs; ++i)
-            want[i] = static_cast<std::uint64_t>(src[2 * i]) |
-                      static_cast<std::uint64_t>(src[2 * i + 1]) << 32;
-        for (Backend backend : backendsUnderTest()) {
-            ScopedBackend forced(backend);
-            std::vector<std::uint64_t> dst(pairs, ~std::uint64_t{0});
-            simd::packPairsU32(dst.data(), src.data(), pairs);
-            EXPECT_EQ(dst, want)
-                << "pairs=" << pairs
-                << " backend=" << simd::backendName(backend);
         }
     }
 }
@@ -342,8 +289,9 @@ TEST(SimdDispatch, ExpandSetBitsParity)
             // Positions are ascending and offset by the base.
             for (std::size_t i = 1; i < dst.size(); ++i)
                 ASSERT_LT(dst[i - 1], dst[i]) << "n=" << n;
-            if (!dst.empty())
+            if (!dst.empty()) {
                 EXPECT_GE(dst.front(), 1000u);
+            }
             if (first) {
                 want = dst;
                 first = false;
