@@ -156,8 +156,9 @@ runWorkload(const HotWorkload &w)
  * one row per shape family. The steady-state loops above either
  * memoize the analysis work or run marker-path shapes that bypass the
  * vector kernels, so they say nothing about the dispatch backends;
- * each row drives the bitmap symbolic merge (orInto/popcountAndClear)
- * and the fused numeric kernel's expandSetBits emit on one family's
+ * each row drives the symbolic pass (the bitmap merge, orInto/
+ * popcountAndClear, wherever no full B row lets it skip the merge) and
+ * the fused numeric kernel's expandSetBits emit on one family's
  * operands, under scalar vs the widest supported backend. The outputs are
  * byte-identical by contract; only the time may differ — and the gap
  * is family-dependent (word count per bitmap row, run lengths), which
@@ -187,6 +188,11 @@ compareBackends(const std::vector<HotWorkload> &workloads)
     Rng rng(404);
     const CsrMatrix wide_a = generateUniform(1024, 1024, 0.03, rng);
     const CsrMatrix wide_b = generateUniform(1024, 4096, 0.04, rng);
+    // The DNN tenant's shape as the end-to-end benchmark serves it
+    // (defaultTenantMix() doubled): a 6% A against a dense B, whose full
+    // rows the symbolic pass counts without a merge.
+    const CsrMatrix dense_a = generateUniform(384, 512, 0.06, rng);
+    const CsrMatrix dense_b = generateDenseCsr(512, 192, rng);
 
     BackendCompare cmp;
     const simd::Backend best = simd::bestSupportedBackend();
@@ -203,6 +209,7 @@ compareBackends(const std::vector<HotWorkload> &workloads)
     for (const HotWorkload &w : workloads)
         drivers.push_back({w.name, &w.a, &w.b, 8});
     drivers.push_back({"wide-bitmap", &wide_a, &wide_b, 20});
+    drivers.push_back({"dense-b", &dense_a, &dense_b, 20});
 
     for (const Driver &d : drivers) {
         BackendRow row;

@@ -303,6 +303,8 @@ loadServeJob(const ServeJobSpec &spec)
     if (namesFile(spec.b_path)) {
         job.b = loadOperand(spec.b_path, spec.b_shared.get());
     } else if (spec.dense_cols > 0) {
+        requireDenseCsrFits(job.a.cols(), spec.dense_cols,
+                            "loadServeJob: job '" + spec.name + "'");
         // Same convention as the CLI's --dense-cols flag.
         Rng rng(1);
         job.b = generateDenseCsr(job.a.cols(), spec.dense_cols, rng);

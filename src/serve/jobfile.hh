@@ -70,6 +70,9 @@ std::vector<ServeJobSpec> parseJobFile(const std::string &path);
 /**
  * Load one spec's matrices into an executable job. Thread-safe across
  * specs of one job file; a shared operand is read by its first load.
+ * A `dense_cols` B whose a.cols() x dense_cols CSR arrays overflow
+ * 64-bit bytes or exceed physical memory is refused (fatal naming the
+ * job, by requireDenseCsrFits) before it is allocated.
  */
 BatchJob loadServeJob(const ServeJobSpec &spec);
 

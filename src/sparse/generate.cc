@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#include <unistd.h>
 
 #include "sparse/convert.hh"
 #include "util/logging.hh"
@@ -237,6 +240,30 @@ generateRmat(Index n, Offset target_nnz, double pa, double pb, double pc,
         coo.addEntry(r % n, c % n, randomValue(rng));
     }
     return cooToCsr(std::move(coo));
+}
+
+void
+requireDenseCsrFits(Index rows, Index cols, const std::string &what)
+{
+    const std::uint64_t entries = static_cast<std::uint64_t>(rows) * cols;
+    std::uint64_t bytes = 0;
+    const bool overflow =
+        __builtin_mul_overflow(entries, sizeof(Index) + sizeof(Value),
+                               &bytes) ||
+        __builtin_add_overflow(
+            bytes, (static_cast<std::uint64_t>(rows) + 1) * sizeof(Offset),
+            &bytes);
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_size = sysconf(_SC_PAGE_SIZE);
+    const std::uint64_t physical =
+        pages > 0 && page_size > 0
+            ? static_cast<std::uint64_t>(pages) *
+                  static_cast<std::uint64_t>(page_size)
+            : 0;
+    if (overflow || (physical != 0 && bytes > physical))
+        fatal(what, ": a ", rows, " x ", cols,
+              " dense B does not fit in memory (its CSR bytes overflow "
+              "64 bits or exceed physical memory)");
 }
 
 CsrMatrix

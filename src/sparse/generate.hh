@@ -12,6 +12,8 @@
 #ifndef MISAM_SPARSE_GENERATE_HH
 #define MISAM_SPARSE_GENERATE_HH
 
+#include <string>
+
 #include "sparse/csr.hh"
 #include "sparse/dense.hh"
 #include "util/random.hh"
@@ -84,6 +86,16 @@ CsrMatrix generateRmat(Index n, Offset target_nnz, double pa, double pb,
 
 /** Fully dense matrix in CSR form (the D operand of MS x D workloads). */
 CsrMatrix generateDenseCsr(Index rows, Index cols, Rng &rng);
+
+/**
+ * fatal() (reason prefixed by `what`) unless a rows x cols
+ * generateDenseCsr result fits: its CSR bytes (row pointers, plus a
+ * column index and a value per entry) must not overflow 64 bits nor
+ * exceed physical memory (when sysconf reports it). Call it before
+ * generating a dense operand whose width comes from user input; it
+ * allocates nothing.
+ */
+void requireDenseCsrFits(Index rows, Index cols, const std::string &what);
 
 /** Dense row-major matrix with uniform values in [-1, 1). */
 DenseMatrix generateDense(Index rows, Index cols, Rng &rng);

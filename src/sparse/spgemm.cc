@@ -248,15 +248,21 @@ namespace {
  * its A nonzeros select (simd::orInto) and popcounts the union. Wins
  * when B rows average at least one set bit per occupancy word; the
  * caller gates on that, so hypersparse B stays on the marker path.
+ * Full B rows get no bitmap: an output row selecting one has all
+ * `cols` columns, so its merge stops there and never reads them.
  */
 void
 symbolicBitmap(const CsrMatrix &a, const CsrMatrix &b,
                std::size_t words, SymbolicStats &sym)
 {
+    const Offset cols = b.cols();
     const Offset *b_rp = b.rowPtr().data();
     const Index *b_ci = b.colIdx().data();
+    const Offset *row_len = sym.b_row_nnz.data();
     std::vector<std::uint64_t> bitmaps(words * b.rows(), 0);
     for (Index k = 0; k < b.rows(); ++k) {
+        if (row_len[k] == cols)
+            continue;
         std::uint64_t *bits = bitmaps.data() + words * k;
         for (Offset q = b_rp[k]; q < b_rp[k + 1]; ++q) {
             const Index j = b_ci[q];
@@ -266,7 +272,6 @@ symbolicBitmap(const CsrMatrix &a, const CsrMatrix &b,
 
     const Offset *a_rp = a.rowPtr().data();
     const Index *a_ci = a.colIdx().data();
-    const Offset *row_len = sym.b_row_nnz.data();
     std::vector<std::uint64_t> acc(words, 0);
     for (Index i = 0; i < a.rows(); ++i) {
         const Offset lo = a_rp[i];
@@ -280,13 +285,28 @@ symbolicBitmap(const CsrMatrix &a, const CsrMatrix &b,
             sym.output_nnz += row_len[k];
             continue;
         }
-        for (Offset p = lo; p < hi; ++p) {
+        // Merge until the first full row; from there the output row
+        // has every column, and later rows only add their multiplies
+        // (summed in a local: orInto is an opaque call, which would
+        // force sym.multiplies through memory every iteration).
+        Offset multiplies = 0;
+        Offset p = lo;
+        for (; p < hi; ++p) {
             const Index k = a_ci[p];
-            sym.multiplies += row_len[k];
-            simd::orInto(acc.data(), bitmaps.data() + words * k,
-                         words);
+            multiplies += row_len[k];
+            if (row_len[k] == cols)
+                break;
+            simd::orInto(acc.data(), bitmaps.data() + words * k, words);
         }
-        sym.output_nnz += simd::popcountAndClear(acc.data(), words);
+        if (p < hi) {
+            for (++p; p < hi; ++p)
+                multiplies += row_len[a_ci[p]];
+            std::fill_n(acc.data(), words, std::uint64_t{0});
+            sym.output_nnz += cols;
+        } else {
+            sym.output_nnz += simd::popcountAndClear(acc.data(), words);
+        }
+        sym.multiplies += multiplies;
     }
     simd::noteBitmapRows(a.rows());
 }

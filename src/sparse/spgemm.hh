@@ -78,7 +78,17 @@ struct SymbolicStats
     std::vector<Offset> b_row_nnz; ///< b_row_nnz[k] == b.rowNnz(k).
 };
 
-/** One-pass symbolic analysis of C = A * B (structure only). */
+/**
+ * One-pass symbolic analysis of C = A * B (structure only). Full-row
+ * rule, in the bitmap merge (the variant a B averaging at least one
+ * nonzero per occupancy word takes, dense B included): a B row is full
+ * when b_row_nnz[k] == b.cols(); an A row that selects any full row has
+ * exactly b.cols() output columns, so its merge stops at the first full
+ * row it selects (its multiplies are still summed over every selected
+ * row). Full rows are never merged and get no occupancy bitmap, so a
+ * dense-B (DNN) product costs one pass over A's column indices. The
+ * marker variant (hypersparse B) stamps every selected row.
+ */
 SymbolicStats spgemmSymbolic(const CsrMatrix &a, const CsrMatrix &b);
 
 } // namespace misam

@@ -166,6 +166,16 @@ if "$CLI" frobnicate 2>/dev/null; then
     echo "expected nonzero exit"; exit 1
 fi
 
+echo "== --dense-cols beyond memory is refused before allocating =="
+printf '%%%%MatrixMarket matrix coordinate real general\n4 16777216 0\n' \
+    > "$WORK/wide.mtx"
+if "$CLI" analyze --matrix "$WORK/wide.mtx" --dense-cols 4294967295 \
+    2> "$WORK/dense.err"; then
+    echo "expected nonzero exit"; exit 1
+fi
+grep -q "a 16777216 x 4294967295 dense B does not fit in memory" \
+    "$WORK/dense.err"
+
 # Survival check for the mode-keyed bench summary: a --smoke run must
 # replace only the "smoke" section and carry an existing "full" section
 # (the committed full-run numbers) over verbatim.

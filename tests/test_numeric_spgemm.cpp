@@ -23,38 +23,15 @@
 #include "util/random.hh"
 #include "util/simd.hh"
 
+#include "simd_test_util.hh"
+
 namespace misam {
 namespace {
 
 using simd::Backend;
 
-/** Force a backend for one scope, restoring env-driven dispatch after. */
-class ScopedBackend
-{
-  public:
-    explicit ScopedBackend(Backend backend)
-    {
-        simd::setBackendForTesting(backend);
-    }
-
-    ~ScopedBackend() { simd::resetBackendFromEnv(); }
-
-    ScopedBackend(const ScopedBackend &) = delete;
-    ScopedBackend &operator=(const ScopedBackend &) = delete;
-};
-
-/** Scalar plus every vector backend this host can execute. */
-std::vector<Backend>
-backendsUnderTest()
-{
-    std::vector<Backend> backends = {Backend::Scalar};
-    for (Backend vec :
-         {Backend::Avx2, Backend::Neon, Backend::Avx512}) {
-        if (simd::backendSupported(vec))
-            backends.push_back(vec);
-    }
-    return backends;
-}
+using simd_test::backendsUnderTest;
+using simd_test::ScopedBackend;
 
 CsrMatrix
 emptyMatrix(Index rows, Index cols)

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -27,6 +30,9 @@
 #include "util/metrics.hh"
 #include "util/parallel.hh"
 #include "util/random.hh"
+#include "util/simd.hh"
+
+#include "simd_test_util.hh"
 
 namespace misam {
 namespace {
@@ -321,6 +327,133 @@ TEST(SymbolicSpgemm, FusedPassMatchesTwoPassReference)
         for (Index k = 0; k < b.rows(); ++k)
             EXPECT_EQ(sym.b_row_nnz[k], b.rowNnz(k));
     }
+}
+
+// --------------------------------------------------------------------
+// symbolic full-row rule: in the bitmap merge, an A row selecting a
+// full B row (nnz == b.cols()) has exactly b.cols() output columns and
+// skips the merge
+// --------------------------------------------------------------------
+
+/** CSR with unit values; each row's columns are sorted here. */
+CsrMatrix
+csrFromRows(Index cols, std::vector<std::vector<Index>> rows)
+{
+    std::vector<Offset> row_ptr = {0};
+    std::vector<Index> col_idx;
+    for (std::vector<Index> &r : rows) {
+        std::sort(r.begin(), r.end());
+        col_idx.insert(col_idx.end(), r.begin(), r.end());
+        row_ptr.push_back(col_idx.size());
+    }
+    std::vector<Value> values(col_idx.size(), 1.0);
+    return {static_cast<Index>(rows.size()), cols, std::move(row_ptr),
+            std::move(col_idx), std::move(values)};
+}
+
+/** Every column of a `cols`-wide row except `skip` (none if >= cols). */
+std::vector<Index>
+allColumnsBut(Index cols, Index skip)
+{
+    std::vector<Index> row;
+    for (Index j = 0; j < cols; ++j)
+        if (j != skip)
+            row.push_back(j);
+    return row;
+}
+
+/** `count` distinct random columns below `cols`. */
+std::vector<Index>
+randomColumns(Index cols, Index count, Rng &rng)
+{
+    std::vector<Index> row(cols);
+    std::iota(row.begin(), row.end(), Index{0});
+    for (Index i = 0; i < count; ++i)
+        std::swap(row[i], row[i + rng.uniformInt(cols - i)]);
+    row.resize(count);
+    return row;
+}
+
+/**
+ * spgemmSymbolic against the two-pass references and b_row_nnz under
+ * every backend, on the bitmap merge (which counts every A row in
+ * simd.bitmap_rows; the variant is a function of shape).
+ */
+void
+expectBitmapSymbolicMatchesReference(const CsrMatrix &a,
+                                     const CsrMatrix &b, const char *what)
+{
+    const Offset want_mult = spgemmMultiplyCount(a, b);
+    const Offset want_nnz = spgemmOutputNnz(a, b);
+    for (const simd::Backend backend : simd_test::backendsUnderTest()) {
+        simd_test::ScopedBackend forced(backend);
+        const std::uint64_t rows_before = simd::simdCounters().bitmap_rows;
+        const SymbolicStats sym = spgemmSymbolic(a, b);
+        const char *name = simd::backendName(backend);
+        EXPECT_EQ(simd::simdCounters().bitmap_rows - rows_before,
+                  a.rows())
+            << what << " backend=" << name;
+        EXPECT_EQ(sym.multiplies, want_mult) << what << " backend=" << name;
+        EXPECT_EQ(sym.output_nnz, want_nnz) << what << " backend=" << name;
+        ASSERT_EQ(sym.b_row_nnz.size(), b.rows()) << what;
+        for (Index k = 0; k < b.rows(); ++k)
+            ASSERT_EQ(sym.b_row_nnz[k], b.rowNnz(k)) << what;
+    }
+}
+
+TEST(SymbolicFullRows, DenseBCountsEveryColumnPerNonEmptyRow)
+{
+    // 192 columns (3 words), 100 (partial last word), 64 (one exact
+    // word) and 1. Every B row is full, so every non-empty A row has
+    // exactly b.cols() output columns.
+    for (const Index cols : {Index{192}, Index{100}, Index{64}, Index{1}}) {
+        Rng rng(600 + cols);
+        const CsrMatrix b = generateDenseCsr(10, cols, rng);
+        const CsrMatrix a = csrFromRows(
+            10, {{}, {3}, {0, 4, 9}, {1, 2}, {}, randomColumns(10, 6, rng)});
+        const std::string what = "dense cols=" + std::to_string(cols);
+        expectBitmapSymbolicMatchesReference(a, b, what.c_str());
+        const SymbolicStats sym = spgemmSymbolic(a, b);
+        EXPECT_EQ(sym.output_nnz, Offset{4} * cols) << what;
+        EXPECT_EQ(sym.multiplies, a.nnz() * cols) << what;
+    }
+}
+
+TEST(SymbolicFullRows, MixedFullAndSparseRowsOnBitmapPath)
+{
+    // 100 columns: two occupancy words, the second partial. Rows 0, 5
+    // and 11 are full; row 13 misses one column; row 9 is empty.
+    constexpr Index kCols = 100;
+    Rng rng(601);
+    std::vector<std::vector<Index>> b_rows;
+    for (Index k = 0; k < 16; ++k) {
+        if (k == 0 || k == 5 || k == 11)
+            b_rows.push_back(allColumnsBut(kCols, kCols));
+        else if (k == 13)
+            b_rows.push_back(allColumnsBut(kCols, 57));
+        else if (k == 9)
+            b_rows.emplace_back();
+        else
+            b_rows.push_back(randomColumns(kCols, 30, rng));
+    }
+    const CsrMatrix b = csrFromRows(kCols, b_rows);
+    const CsrMatrix a = csrFromRows(16, {
+        {},           // empty
+        {5},          // one nonzero, full row
+        {0, 11},      // only full rows
+        {1, 2, 3},    // only sparse rows
+        {0, 1, 7},    // both, full row first
+        {2, 6, 11},   // both, full row last
+        {3},          // one nonzero, sparse row
+        {9},          // one nonzero, empty row
+        {13},         // one nonzero, near-full row
+        {9, 13},      // near-full + empty: still one short
+        {13, 14},     // near-full + sparse
+        {4, 5, 9, 13} // full among empty, near-full and sparse
+    });
+    expectBitmapSymbolicMatchesReference(a, b, "mixed bitmap");
+    const SymbolicStats sym = spgemmSymbolic(a, b);
+    EXPECT_EQ(spgemmRowWise(a, b).nnz(), sym.output_nnz);
 }
 
 TEST(SymbolicCache, HitMissSemantics)

@@ -679,6 +679,24 @@ TEST(JobFileTest, LargestDenseColsParses)
     EXPECT_EQ(specs[0].dense_cols, 4294967295u);
 }
 
+TEST(JobFileTest, DenseColsBeyondMemoryIsFatal)
+{
+    // A 2^24-column A with dense_cols 2^32-1 asks for ~8.6e17 bytes of
+    // dense B: more than any machine's memory, refused before anything
+    // is allocated.
+    const std::string a_path =
+        writeTempFile("dc_mem_a.mtx",
+                      "%%MatrixMarket matrix coordinate real general\n"
+                      "4 16777216 0\n");
+    const std::vector<ServeJobSpec> specs = parseJobFile(writeTempFile(
+        "dc_mem.jsonl", "{\"name\":\"huge\",\"a\":\"" + a_path +
+                            "\",\"dense_cols\":4294967295}\n"));
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_DEATH((void)loadServeJob(specs[0]),
+                 "loadServeJob: job 'huge': a 16777216 x 4294967295 "
+                 "dense B does not fit in memory");
+}
+
 TEST(JobFileTest, SharedBIsReadOnce)
 {
     Rng rng(41);

@@ -145,6 +145,7 @@ loadWorkload(const Args &args)
         Rng rng(1);
         const auto n = static_cast<Index>(
             std::strtoul(cols->c_str(), nullptr, 10));
+        requireDenseCsrFits(a.cols(), n, "--dense-cols");
         return {a, generateDenseCsr(a.cols(), n, rng)};
     }
     if (a.rows() != a.cols())
